@@ -254,7 +254,7 @@ def cmd_eval(args) -> int:
             "tpr": tpr,
             "tnr": tnr,
             "gm": metrics.geometric_mean(tpr, tnr),
-            "auc": metrics.roc_auc(track, gt, args.iou_threshold),
+            "auc": metrics.trapezoid_auc(fpr, tpr_curve),
             "theta": args.theta,
             "iou_threshold": args.iou_threshold,
             "curve": {"fpr": list(fpr), "tpr": list(tpr_curve)},

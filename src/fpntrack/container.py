@@ -252,13 +252,13 @@ def read_tracks(path) -> Track:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ContainerError(f"{path}:{lineno}: malformed track record: {exc}") from exc
+        try:
+            box, confidence, frame, present = rec["box"], rec["confidence"], rec["frame"], rec["present"]
+        except KeyError as exc:
+            raise ContainerError(f"{path}:{lineno}: track record missing field {exc}") from exc
         mask = _mask_from_json(rec["mask"]) if rec.get("mask") else None
-        det = Detection(
-            box=_box_from_list(rec["box"]),
-            confidence=float(rec["confidence"]),
-            mask=mask,
-        )
-        entries.append(TrackEntry(int(rec["frame"]), det, bool(rec["present"])))
+        det = Detection(box=_box_from_list(box), confidence=float(confidence), mask=mask)
+        entries.append(TrackEntry(int(frame), det, bool(present)))
     return Track(entries)
 
 
@@ -284,10 +284,14 @@ def read_groundtruth(path) -> GroundtruthSequence:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ContainerError(f"{path}:{lineno}: malformed groundtruth: {exc}") from exc
+        try:
+            frame, present = rec["frame"], rec["present"]
+        except KeyError as exc:
+            raise ContainerError(f"{path}:{lineno}: groundtruth record missing field {exc}") from exc
         frames.append(
             GroundtruthFrame(
-                frame=int(rec["frame"]),
-                present=bool(rec["present"]),
+                frame=int(frame),
+                present=bool(present),
                 box=_box_from_list(rec["box"]) if rec.get("box") else None,
                 mask=_mask_from_json(rec["mask"]) if rec.get("mask") else None,
             )

@@ -18,7 +18,6 @@ from .pyramid import BoundingBox, Mask, box_iou, mask_iou
 __all__ = [
     "GroundtruthFrame",
     "GroundtruthSequence",
-    "MetricReport",
     "box_iou",
     "mask_iou",
     "average_overlap",
@@ -26,6 +25,7 @@ __all__ = [
     "geometric_mean",
     "roc_auc",
     "roc_curve",
+    "trapezoid_auc",
     "longterm_prf",
     "f_measure",
     "davis_j",
@@ -60,13 +60,6 @@ class GroundtruthSequence:
         return len(self.frames)
 
 
-@dataclass
-class MetricReport:
-    protocol: str
-    scalars: dict
-    curves: dict = field(default_factory=dict)
-
-
 def _aligned(track, gt: GroundtruthSequence):
     pred = {e.frame: e for e in track}
     pairs = []
@@ -81,6 +74,34 @@ def _frame_overlap(entry, g: GroundtruthFrame) -> float:
     if g.box is None:
         return 0.0
     return box_iou(entry.detection.box, g.box)
+
+
+def _aligned_arrays(track, gt: GroundtruthSequence):
+    """(confidence, overlap, gt-present) arrays with one element per groundtruth frame."""
+    pairs = _aligned(track, gt)
+    confidence = np.array([e.detection.confidence for e, _ in pairs], dtype=float)
+    overlap = np.array([_frame_overlap(e, g) for e, g in pairs], dtype=float)
+    present = np.array([g.present for _, g in pairs], dtype=bool)
+    return confidence, overlap, present
+
+
+def _distinct_sorted(values) -> np.ndarray:
+    """Distinct values in ascending order.
+
+    Not `np.unique`: on numpy 2.x that lazily imports `numpy.ma`, which costs
+    about 2 MB of resident memory for nothing here.
+    """
+    v = np.sort(np.asarray(values, dtype=float))
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first]
+
+
+def _check_rates_defined(pos: int, neg: int) -> None:
+    if pos == 0:
+        raise UndefinedMetricError("TPR undefined: no groundtruth-present frames")
+    if neg == 0:
+        raise UndefinedMetricError("TNR undefined: no groundtruth-absent frames")
 
 
 def average_overlap(track, gt: GroundtruthSequence, sr_threshold: float = 0.5) -> tuple[float, float]:
@@ -114,10 +135,7 @@ def oxuva_rates(
             neg += 1
             if not predicted_present:
                 tn += 1
-    if pos == 0:
-        raise UndefinedMetricError("TPR undefined: no groundtruth-present frames")
-    if neg == 0:
-        raise UndefinedMetricError("TNR undefined: no groundtruth-absent frames")
+    _check_rates_defined(pos, neg)
     return tp / pos, tn / neg
 
 
@@ -130,27 +148,49 @@ def geometric_mean(tpr: float, tnr: float) -> float:
 def roc_curve(
     track, gt: GroundtruthSequence, iou_threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(FPR, TPR) points over all distinct confidence thresholds, sorted by FPR."""
-    confidences = sorted({e.detection.confidence for e in track})
-    thetas = [0.0] + confidences + [np.nextafter(max(confidences, default=0.0) + 1, np.inf)]
-    points = []
-    for theta in thetas:
-        tpr, tnr = oxuva_rates(track, gt, theta, iou_threshold)
-        points.append((1.0 - tnr, tpr))
-    points.sort()
-    fpr, tpr = zip(*points)
-    return np.asarray(fpr), np.asarray(tpr)
+    """(FPR, TPR) points, one per confidence threshold, sorted as (FPR, TPR) pairs.
+
+    The thresholds are 0, every distinct confidence in `track` (frames the
+    groundtruth lacks included) and one just above max(confidence) + 1. At
+    each threshold theta the rates are `oxuva_rates(track, gt, theta,
+    iou_threshold)`: a frame is predicted present when confidence >= theta.
+    Equal points are kept, so a confidence of exactly 0 gives two of them.
+
+    Costs O(N log N) in the track length: the track is aligned and sorted
+    once, and the counts at every threshold come from binary searches.
+    """
+    confidence, overlap, present = _aligned_arrays(track, gt)
+    pos = int(present.sum())
+    neg = present.size - pos
+    _check_rates_defined(pos, neg)
+    distinct = _distinct_sorted([e.detection.confidence for e in track])
+    top = distinct[-1] if distinct.size else 0.0
+    thetas = np.concatenate(([0.0], distinct, [np.nextafter(top + 1, np.inf)]))
+    # confidences of the frames that count as true positives when predicted
+    # present, and of the absent frames; both ascending
+    hits = np.sort(confidence[present & (overlap > iou_threshold)])
+    absent = np.sort(confidence[~present])
+    tp = hits.size - np.searchsorted(hits, thetas, side="left")
+    tn = np.searchsorted(absent, thetas, side="left")
+    tpr = tp / pos
+    fpr = 1.0 - tn / neg
+    order = np.lexsort((tpr, fpr))
+    return fpr[order], tpr[order]
 
 
-def roc_auc(track, gt: GroundtruthSequence, iou_threshold: float = 0.5) -> float:
-    """Area under TPR-vs-FPR: the trapezoid rule over `roc_curve`'s points in FPR order.
+def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
+    """Area under a TPR-vs-FPR curve whose points are in FPR order (trapezoid rule).
 
     The rule is computed inline because numpy's trapezoid helper has no single
     name across the declared `numpy>=1.24` range; inline, the result is the
     same on every supported numpy.
     """
-    fpr, tpr = roc_curve(track, gt, iou_threshold)
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2))
+
+
+def roc_auc(track, gt: GroundtruthSequence, iou_threshold: float = 0.5) -> float:
+    """Area under `roc_curve`'s points, by `trapezoid_auc`."""
+    return trapezoid_auc(*roc_curve(track, gt, iou_threshold))
 
 
 def f_measure(p: float, r: float) -> float:
@@ -162,37 +202,34 @@ def f_measure(p: float, r: float) -> float:
 def longterm_prf(track, gt: GroundtruthSequence) -> tuple[float, float, float, float]:
     """Long-term (P, R, F, theta) at the confidence threshold maximizing F.
 
-    P(theta) averages overlap over frames predicted present; R(theta)
-    averages overlap over gt-present frames, scoring zero where the tracker
-    reports absence.
+    The thresholds are the distinct confidences of the frames aligned to the
+    groundtruth, and a frame is predicted present when confidence >= theta.
+    P(theta) averages overlap over every frame predicted present, absent
+    frames included (they score their groundtruth box's overlap if they carry
+    one, else zero). R(theta) averages overlap over gt-present frames, scoring
+    zero where the tracker reports absence. Of the thresholds that attain the
+    maximal F, the smallest is returned.
+
+    Costs O(N log N) in the track length: the frames are sorted by confidence
+    once, and P and R at every threshold come from cumulative sums.
     """
-    pairs = _aligned(track, gt)
-    n_present = sum(1 for _, g in pairs if g.present)
+    confidence, overlap, present = _aligned_arrays(track, gt)
+    n_present = int(present.sum())
     if n_present == 0:
         raise UndefinedMetricError("no groundtruth-present frames")
-    thetas = sorted({e.detection.confidence for e, _ in pairs})
-    best = (0.0, 0.0, -1.0, 0.0)
-    for theta in thetas:
-        overlaps_pred = [
-            _frame_overlap(e, g) for e, g in pairs if e.detection.confidence >= theta
-        ]
-        if not overlaps_pred:
-            continue
-        p = float(np.mean(overlaps_pred))
-        r = (
-            sum(
-                _frame_overlap(e, g)
-                for e, g in pairs
-                if g.present and e.detection.confidence >= theta
-            )
-            / n_present
-        )
-        f = f_measure(p, r)
-        if f > best[2]:
-            best = (p, r, f, theta)
-    if best[2] < 0:
-        return 0.0, 0.0, 0.0, 0.0
-    return best
+    order = np.argsort(-confidence)
+    c = confidence[order]
+    sum_pred = np.cumsum(overlap[order])
+    sum_present = np.cumsum(np.where(present, overlap, 0.0)[order])
+    # the last index of each run of equal confidences: predicting present at
+    # that confidence predicts the whole prefix up to there
+    ends = np.flatnonzero(np.append(c[1:] != c[:-1], True))[::-1]
+    p = sum_pred[ends] / (ends + 1)
+    r = sum_present[ends] / n_present
+    # p + r == 0 only where p == r == 0, so F is 0 there as in `f_measure`
+    f = 2 * p * r / np.where(p + r == 0, 1.0, p + r)
+    best = int(np.argmax(f))
+    return float(p[best]), float(r[best]), float(f[best]), float(c[ends[best]])
 
 
 def davis_j(

@@ -297,6 +297,31 @@ class TestTrackAndEval:
         assert "mask" in capsys.readouterr().err
 
 
+class TestMalformedJsonl:
+    TRACK = {"frame": 0, "box": [0, 0, 5, 5], "confidence": 0.9, "present": True}
+    GT = {"frame": 0, "present": True, "box": [0, 0, 5, 5]}
+
+    def run_eval(self, tmp_path, track_rec, gt_rec):
+        pred, gt = tmp_path / "tracks.jsonl", tmp_path / "gt.jsonl"
+        pred.write_text(json.dumps(self.TRACK) + "\n" + json.dumps(track_rec) + "\n")
+        gt.write_text(json.dumps(self.GT) + "\n" + json.dumps(gt_rec) + "\n")
+        return main(["eval", "--pred", str(pred), "--gt", str(gt), "--protocol", "got"])
+
+    def test_track_record_without_box_is_user_error(self, tmp_path, capsys):
+        rec = {k: v for k, v in self.TRACK.items() if k != "box"}
+        rc = self.run_eval(tmp_path, dict(rec, frame=1), dict(self.GT, frame=1))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "tracks.jsonl:2:" in err and "'box'" in err
+
+    def test_groundtruth_record_without_present_is_user_error(self, tmp_path, capsys):
+        rec = {k: v for k, v in self.GT.items() if k != "present"}
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=1), dict(rec, frame=1))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "gt.jsonl:2:" in err and "'present'" in err
+
+
 class TestGradcheck:
     def test_prints_error_and_passes(self, capsys):
         rc = main(["gradcheck", "--dim", "6", "--negatives", "8"])

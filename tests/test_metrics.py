@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError, UndefinedMetricError
 from fpntrack.metrics import (
     GroundtruthFrame,
     GroundtruthSequence,
+    _aligned,
+    _frame_overlap,
     average_overlap,
     box_iou,
     davis_j,
@@ -15,6 +17,8 @@ from fpntrack.metrics import (
     mask_iou,
     oxuva_rates,
     roc_auc,
+    roc_curve,
+    trapezoid_auc,
 )
 from fpntrack.pyramid import BoundingBox, Mask
 from fpntrack.synth import philox
@@ -314,6 +318,180 @@ class TestLongtermPrf:
                 if g.present and e.detection.confidence >= other_theta
             ) / sum(1 for _, g in pairs if g.present)
             assert f >= f_measure(op, orr) - 1e-12
+
+
+def loop_roc_curve(track, gt, iou_threshold=0.5):
+    """Reference ROC: `oxuva_rates` evaluated at every threshold, O(N^2)."""
+    confidences = sorted({e.detection.confidence for e in track})
+    thetas = [0.0] + confidences + [np.nextafter(max(confidences, default=0.0) + 1, np.inf)]
+    points = []
+    for theta in thetas:
+        tpr, tnr = oxuva_rates(track, gt, theta, iou_threshold)
+        points.append((1.0 - tnr, tpr))
+    points.sort()
+    fpr, tpr = zip(*points)
+    return np.asarray(fpr), np.asarray(tpr)
+
+
+def loop_longterm_prf(track, gt):
+    """Reference LTB35: one scan of the frames per threshold, O(N^2).
+
+    Returns the best (P, R, F, theta), kept with a strict `>` over ascending
+    thresholds, and the F value at every threshold.
+    """
+    pairs = _aligned(track, gt)
+    n_present = sum(1 for _, g in pairs if g.present)
+    if n_present == 0:
+        raise UndefinedMetricError("no groundtruth-present frames")
+    thetas = sorted({e.detection.confidence for e, _ in pairs})
+    best = (0.0, 0.0, -1.0, 0.0)
+    fs = []
+    for theta in thetas:
+        overlaps_pred = [
+            _frame_overlap(e, g) for e, g in pairs if e.detection.confidence >= theta
+        ]
+        p = float(np.mean(overlaps_pred))
+        r = (
+            sum(
+                _frame_overlap(e, g)
+                for e, g in pairs
+                if g.present and e.detection.confidence >= theta
+            )
+            / n_present
+        )
+        f = f_measure(p, r)
+        fs.append(f)
+        if f > best[2]:
+            best = (p, r, f, theta)
+    return best, fs
+
+
+# a few confidence levels (0 among them) make ties; free floats make none
+confidences_strategy = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)
+)
+small_boxes = st.builds(
+    BoundingBox,
+    st.floats(0, 8),
+    st.floats(0, 8),
+    st.floats(4, 12),
+    st.floats(4, 12),
+)
+frame_strategy = st.fixed_dictionaries(
+    {
+        "confidence": confidences_strategy,
+        "pred_box": small_boxes,
+        "gt_box": small_boxes,
+        # 0: present; 1: absent without a box; 2: absent with a box;
+        # 3: the groundtruth lacks this frame
+        "kind": st.sampled_from([0, 1, 2, 3]),
+    }
+)
+
+
+def build_sequence(frames):
+    track = Track(
+        [TrackEntry(i, Detection(f["pred_box"], f["confidence"]), True) for i, f in enumerate(frames)]
+    )
+    gt = GroundtruthSequence(
+        [
+            GroundtruthFrame(i, f["kind"] == 0, None if f["kind"] == 1 else f["gt_box"])
+            for i, f in enumerate(frames)
+            if f["kind"] != 3
+        ]
+    )
+    return track, gt
+
+
+def raised(fn, *args):
+    try:
+        return fn(*args), None
+    except UndefinedMetricError as exc:
+        return None, type(exc)
+
+
+class TestAgainstLoopOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(frame_strategy, min_size=1, max_size=60), st.sampled_from([0.0, 0.5, 0.9]))
+    def test_roc_curve_matches_loop(self, frames, iou_threshold):
+        track, gt = build_sequence(frames)
+        got, got_exc = raised(roc_curve, track, gt, iou_threshold)
+        want, want_exc = raised(loop_roc_curve, track, gt, iou_threshold)
+        assert got_exc is want_exc
+        if want is None:
+            return
+        # both count frames and divide the same integers, so the points agree
+        # exactly, duplicates included
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert trapezoid_auc(*got) == pytest.approx(trapezoid_auc(*want), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(frame_strategy, min_size=1, max_size=60))
+    def test_longterm_prf_matches_loop(self, frames):
+        track, gt = build_sequence(frames)
+        got, got_exc = raised(longterm_prf, track, gt)
+        want, want_exc = raised(loop_longterm_prf, track, gt)
+        assert got_exc is want_exc
+        if want is None:
+            return
+        (p, r, f, theta), fs = want
+        assert got[:3] == pytest.approx((p, r, f), abs=1e-12)
+        # the two sides sum overlaps in different orders, so two thresholds
+        # whose F differs by rounding alone may be ranked either way
+        top = sorted(fs, reverse=True)
+        if len(top) < 2 or top[0] - top[1] > 1e-12:
+            assert got[3] == theta
+
+    def test_all_present_and_all_absent(self):
+        box = BoundingBox(0, 0, 5, 5)
+        present = make_track([(box, 0.5, True), (box, 0.0, True)])
+        gt_present = make_gt([box, box])
+        gt_absent = make_gt([None, None])
+        for track, gt in [(present, gt_present), (present, gt_absent)]:
+            with pytest.raises(UndefinedMetricError):
+                roc_curve(track, gt)
+            with pytest.raises(UndefinedMetricError):
+                loop_roc_curve(track, gt)
+        assert longterm_prf(present, gt_present) == loop_longterm_prf(present, gt_present)[0]
+        with pytest.raises(UndefinedMetricError):
+            longterm_prf(present, gt_absent)
+
+    def test_zero_confidence_gives_duplicate_points(self):
+        # thresholds 0, 0, 0.5 and above max: the two zeros give one point twice
+        box = BoundingBox(0, 0, 5, 5)
+        track = make_track([(box, 0.5, True), (box, 0.0, True)])
+        fpr, tpr = roc_curve(track, make_gt([box, None]))
+        assert list(zip(fpr, tpr)) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
+
+    def test_missing_frame_rejected(self):
+        box = BoundingBox(0, 0, 5, 5)
+        track = make_track([(box, 0.5, True)])
+        gt = make_gt([box, None])
+        for fn in (roc_curve, longterm_prf):
+            with pytest.raises(InvalidInputError):
+                fn(track, gt)
+
+    def test_last_entry_wins_for_a_duplicated_frame(self):
+        box = BoundingBox(0, 0, 5, 5)
+        gt = make_gt([box, None])
+        track = [
+            TrackEntry(0, Detection(BoundingBox(20, 20, 5, 5), 0.9), True),
+            TrackEntry(0, Detection(box, 0.6), True),
+            TrackEntry(1, Detection(box, 0.3), True),
+        ]
+        for got, want in zip(roc_curve(track, gt), loop_roc_curve(track, gt)):
+            np.testing.assert_array_equal(got, want)
+        # the 0.9 entry is overwritten, so 0.9 is no LTB35 threshold
+        assert longterm_prf(track, gt) == loop_longterm_prf(track, gt)[0] == (1.0, 1.0, 1.0, 0.6)
+
+    def test_f_tie_reports_smallest_theta(self):
+        # theta 0.9 predicts only frame 0: P = 1, R = 1/2, F = 2/3.
+        # theta 0.2 predicts all four: P = 2/4, R = 2/2, F = 2/3 again.
+        box = BoundingBox(0, 0, 5, 5)
+        gt = make_gt([box, box, None, None])
+        track = make_track([(box, 0.9, True), (box, 0.2, True), (box, 0.2, True), (box, 0.2, True)])
+        assert longterm_prf(track, gt) == (0.5, 1.0, 2 / 3, 0.2)
 
 
 class TestDavisJ:
