@@ -7,6 +7,7 @@ stderr; machine-readable output goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -137,11 +138,9 @@ def _template_flags(parser):
     parser.add_argument("--balance-levels", action="store_true")
 
 
-def _build_template(pyramid, box, args):
-    return templates.build_template(
-        pyramid,
-        box,
-        args.template_mode.replace("-", "_"),
+def _template_kwargs(args) -> dict:
+    """build_template's keyword arguments from the _template_flags options."""
+    return dict(
         lam=args.lam,
         num_negatives=args.negatives,
         num_positives=args.positives,
@@ -154,7 +153,9 @@ def _build_template(pyramid, box, args):
 def cmd_solve_template(args) -> int:
     pyramid = container.read_container(args.pyramid)
     box = _parse_box(args.box)
-    template = _build_template(pyramid, box, args)
+    template = templates.build_template(
+        pyramid, box, args.template_mode.replace("-", "_"), **_template_kwargs(args)
+    )
     doc = {
         "kind": template.kind,
         "lambda": args.lam,
@@ -189,27 +190,34 @@ def cmd_attend(args) -> int:
     return 0
 
 
+def _frame_detections(mf, pyramid, template) -> list[Detection]:
+    """One manifest frame's candidates, unscored ones scored against the template.
+
+    Reads the frame's container unless its pyramid is passed in.
+    """
+    if pyramid is None:
+        pyramid = container.read_container(mf.pyramid)
+    detections: list[Detection] = []
+    if mf.candidates is not None:
+        for box, conf in container.load_candidates(mf.candidates):
+            if conf is None:
+                conf = synth.cosine_confidence(extract_template(pyramid, box), template.values)
+            detections.append(Detection(box=box, confidence=conf))
+    return detections
+
+
 def cmd_track(args) -> int:
     manifest = container.load_manifest(args.sequence)
     init_box = _parse_box(args.init) if args.init else manifest.init_box
     if not manifest.frames:
         raise UsageError("manifest has no frames")
     init_pyramid = container.read_container(manifest.frames[0].pyramid)
-    template = _build_template(init_pyramid, init_box, args)
 
-    frames = []
-    for mf in manifest.frames:
-        pyramid = container.read_container(mf.pyramid)
-        detections: list[Detection] = []
-        if mf.candidates is not None:
-            for box, conf in container.load_candidates(mf.candidates):
-                if conf is None:
-                    conf = synth.cosine_confidence(
-                        extract_template(pyramid, box), template.values
-                    )
-                detections.append(Detection(box=box, confidence=conf))
-        frames.append(detections)
-
+    # frame 0 scores its candidates on the pyramid the template is built from
+    frames = [
+        functools.partial(_frame_detections, mf, init_pyramid if i == 0 else None)
+        for i, mf in enumerate(manifest.frames)
+    ]
     config = TrackerConfig(
         alpha=args.alpha,
         alpha_low=args.alpha_low,
@@ -219,17 +227,12 @@ def cmd_track(args) -> int:
         smoothing_enabled=args.smooth,
     )
     track = run_track(
-        [lambda _t, dets=dets: dets for dets in frames],
+        frames,
         init_box,
         init_pyramid,
         config,
         args.template_mode.replace("-", "_"),
-        lam=args.lam,
-        num_negatives=args.negatives,
-        num_positives=args.positives,
-        seed=args.seed,
-        normalize=args.normalize_features,
-        balance_levels=args.balance_levels,
+        **_template_kwargs(args),
     )
     container.write_tracks(track, args.out)
     return 0

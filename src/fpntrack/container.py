@@ -54,27 +54,37 @@ def pyramid_to_bytes(pyramid: FeaturePyramid) -> bytes:
 
 
 def pyramid_from_bytes(buf: bytes) -> FeaturePyramid:
+    """Decode a container; the levels share one writable copy of the payload."""
     newline = buf.find(b"\n")
     if newline < 0:
         raise ContainerError("no header terminator found in first bytes of container")
+    return _decode(buf[:newline], np.frombuffer(buf, np.uint8, offset=newline + 1).copy())
+
+
+def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
+    """Validate the header against the payload; each level is a view into the payload."""
     try:
-        header = json.loads(buf[:newline].decode())
+        header = json.loads(header_line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"malformed container header: {exc}") from exc
     if not isinstance(header, dict) or "levels" not in header:
         raise ContainerError("container header missing 'levels'")
-    payload = buf[newline + 1 :]
     records = header["levels"]
-    spans = []
+    if not isinstance(records, list):
+        raise ContainerError(f"container header 'levels' must be a list, got {records!r}")
+    parsed = []
     for rec in records:
         try:
             h, w, d = int(rec["height"]), int(rec["width"]), int(rec["depth"])
             off, length = int(rec["byte_offset"]), int(rec["byte_length"])
             level = int(rec["level"])
+            stride = int(rec["stride"]) if "stride" in rec else 2**level
         except (KeyError, TypeError, ValueError) as exc:
             raise ContainerError(f"bad level record {rec!r}: {exc}") from exc
         if rec.get("dtype", "f32") != "f32":
             raise ContainerError(f"unsupported dtype {rec.get('dtype')!r}")
+        if min(h, w, d) < 1:
+            raise ContainerError(f"level {level}: shape {h}x{w}x{d} must be positive")
         if length != h * w * d * 4:
             raise ContainerError(
                 f"level {level}: declared byte_length {length} != {h}x{w}x{d}x4"
@@ -84,22 +94,19 @@ def pyramid_from_bytes(buf: bytes) -> FeaturePyramid:
                 f"level {level}: payload truncated, need bytes [{off}, {off + length}) "
                 f"but payload has {len(payload)} bytes"
             )
-        spans.append((off, off + length, level))
-    spans.sort()
+        parsed.append((level, (h, w, d), off, stride))
+    spans = sorted((off, off + 4 * h * w * d, level) for level, (h, w, d), off, _ in parsed)
     for (s0, e0, l0), (s1, e1, l1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise ContainerError(
                 f"levels {l0} and {l1} declare overlapping byte ranges "
                 f"[{s0}, {e0}) and [{s1}, {e1})"
             )
-    maps = []
-    strides = []
-    for rec in records:
-        h, w, d = int(rec["height"]), int(rec["width"]), int(rec["depth"])
-        off, length = int(rec["byte_offset"]), int(rec["byte_length"])
-        arr = np.frombuffer(payload[off : off + length], dtype="<f4").reshape(h, w, d)
-        maps.append(FeatureMap(int(rec["level"]), arr.copy()))
-        strides.append(int(rec.get("stride", 2 ** int(rec["level"]))))
+    maps = [
+        FeatureMap(level, np.frombuffer(payload, "<f4", h * w * d, off).reshape(h, w, d))
+        for level, (h, w, d), off, _ in parsed
+    ]
+    strides = [stride for *_, stride in parsed]
     image = header.get("image_size")
     ih, iw = (image if isinstance(image, list) and len(image) == 2 else (None, None))
     try:
@@ -113,7 +120,13 @@ def write_container(pyramid: FeaturePyramid, path) -> None:
 
 
 def read_container(path) -> FeaturePyramid:
-    return pyramid_from_bytes(Path(path).read_bytes())
+    """Decode a container file, reading its payload straight into the levels' buffer."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        if not header_line.endswith(b"\n"):
+            raise ContainerError("no header terminator found in first bytes of container")
+        payload = np.fromfile(fh, np.uint8)
+    return _decode(header_line[:-1], payload)
 
 
 def _box_from_list(vals) -> BoundingBox:
@@ -243,22 +256,34 @@ def write_tracks(track: Track, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_tracks(path) -> Track:
-    entries = []
+def _jsonl_records(path, what: str):
+    """Yield (line number, record) for each non-blank line; records must be JSON objects."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ContainerError(f"{path}:{lineno}: malformed track record: {exc}") from exc
+            raise ContainerError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ContainerError(f"{path}:{lineno}: {what} is not a JSON object: {line.strip()}")
+        yield lineno, rec
+
+
+def read_tracks(path) -> Track:
+    entries = []
+    for lineno, rec in _jsonl_records(path, "track record"):
         try:
             box, confidence, frame, present = rec["box"], rec["confidence"], rec["frame"], rec["present"]
         except KeyError as exc:
             raise ContainerError(f"{path}:{lineno}: track record missing field {exc}") from exc
-        mask = _mask_from_json(rec["mask"]) if rec.get("mask") else None
-        det = Detection(box=_box_from_list(box), confidence=float(confidence), mask=mask)
-        entries.append(TrackEntry(int(frame), det, bool(present)))
+        try:
+            mask = _mask_from_json(rec["mask"]) if rec.get("mask") else None
+            det = Detection(box=_box_from_list(box), confidence=float(confidence), mask=mask)
+            frame = int(frame)
+        except (TypeError, ValueError, ContainerError, InvalidInputError) as exc:
+            raise ContainerError(f"{path}:{lineno}: bad track record: {exc}") from exc
+        entries.append(TrackEntry(frame, det, bool(present)))
     return Track(entries)
 
 
@@ -277,25 +302,21 @@ def write_groundtruth(gt: GroundtruthSequence, path) -> None:
 
 def read_groundtruth(path) -> GroundtruthSequence:
     frames = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ContainerError(f"{path}:{lineno}: malformed groundtruth: {exc}") from exc
+    for lineno, rec in _jsonl_records(path, "groundtruth"):
         try:
             frame, present = rec["frame"], rec["present"]
         except KeyError as exc:
             raise ContainerError(f"{path}:{lineno}: groundtruth record missing field {exc}") from exc
-        frames.append(
-            GroundtruthFrame(
+        try:
+            gt = GroundtruthFrame(
                 frame=int(frame),
                 present=bool(present),
                 box=_box_from_list(rec["box"]) if rec.get("box") else None,
                 mask=_mask_from_json(rec["mask"]) if rec.get("mask") else None,
             )
-        )
+        except (TypeError, ValueError, ContainerError, InvalidInputError) as exc:
+            raise ContainerError(f"{path}:{lineno}: bad groundtruth: {exc}") from exc
+        frames.append(gt)
     return GroundtruthSequence(frames)
 
 

@@ -3,9 +3,15 @@
 The discriminative template is the minimizer of
 ``||A t - y||^2 + lambda ||t||^2`` where row 0 of A is the object feature
 (label 1) and the remaining rows are negatives (label 0). The closed form
-``t = (A^T A + lambda I)^{-1} A^T y`` defines the semantics; the solve goes
-through a linear system rather than an explicit inverse. The backward pass
-through the solve is analytic and checked against finite differences.
+``t = (A^T A + lambda I)^{-1} A^T y`` defines the semantics. The solve runs
+one symmetric eigendecomposition of the smaller Gram matrix: the primal
+``A^T A + lambda I`` when A has at least as many rows as columns, otherwise
+the dual ``A A^T + lambda I`` with ``t = A^T (A A^T + lambda I)^{-1} y`` (the
+Woodbury identity used by kernelized correlation filters). The condition gate
+reads the primal condition number off those eigenvalues; in the dual case the
+primal spectrum holds ``D - rows`` extra copies of lambda, its smallest
+eigenvalue. The backward pass through the solve is analytic, reuses the same
+eigenpairs and is checked against finite differences.
 """
 
 from __future__ import annotations
@@ -88,43 +94,56 @@ class RegressionProblem:
         return float(r @ r + self.lam * (t @ t))
 
 
-def _normal_matrix(problem: RegressionProblem) -> np.ndarray:
-    a = problem.data_matrix
-    return a.T @ a + problem.lam * np.eye(a.shape[1])
+def _factor(problem: RegressionProblem) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Eigendecompose the smaller Gram matrix and gate on the primal condition number.
 
-
-def solve_ridge(problem: RegressionProblem) -> TemplateVector:
-    """Minimize ||A t - y||^2 + lambda ||t||^2 in closed form."""
-    g = _normal_matrix(problem)
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    Returns (dual, w, v) with ``G = v diag(w) v^T``, where G is
+    ``A A^T + lambda I`` if dual (D > rows), else ``A^T A + lambda I``.
+    """
+    a, lam = problem.data_matrix, problem.lam
+    dual = a.shape[1] > a.shape[0]
+    gram = a @ a.T if dual else a.T @ a
+    gram[np.diag_indices_from(gram)] += lam
+    w, v = np.linalg.eigh(gram)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = w[-1] / (lam if dual else w[0])
+    if not (np.isfinite(cond) and 0 < cond <= CONDITION_LIMIT):
         raise SolverError(
             f"normal matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
             "increase lambda"
         )
-    t = np.linalg.solve(g, problem.data_matrix.T @ problem.labels)
-    return TemplateVector(t, kind="ridge")
+    return dual, w, v
+
+
+def _solve_factored(problem: RegressionProblem, dual: bool, w, v) -> np.ndarray:
+    a, y = problem.data_matrix, problem.labels
+    if dual:
+        return a.T @ (v @ ((v.T @ y) / w))
+    return v @ ((v.T @ (a.T @ y)) / w)
+
+
+def solve_ridge(problem: RegressionProblem) -> TemplateVector:
+    """Minimize ||A t - y||^2 + lambda ||t||^2 in closed form."""
+    return TemplateVector(_solve_factored(problem, *_factor(problem)), kind="ridge")
 
 
 def ridge_backward(problem: RegressionProblem, upstream: np.ndarray) -> np.ndarray:
     """Gradient of L = g . solve_ridge(A) with respect to the entries of A.
 
     With M = (A^T A + lambda I)^{-1}, h = M g and t the solved template:
-    dL/dA = (y - A t) h^T - (A h) t^T.
+    dL/dA = (y - A t) h^T - (A h) t^T. In the dual case
+    h = (g - A^T K^{-1} A g) / lambda with K = A A^T + lambda I.
     """
     g = np.asarray(upstream, dtype=np.float64)
     a = problem.data_matrix
     if g.shape != (a.shape[1],):
         raise InvalidInputError("upstream gradient must be a D-vector")
-    normal = _normal_matrix(problem)
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SolverError(
-            f"normal matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-            "increase lambda"
-        )
-    t = np.linalg.solve(normal, a.T @ problem.labels)
-    h = np.linalg.solve(normal, g)
+    dual, w, v = _factor(problem)
+    t = _solve_factored(problem, dual, w, v)
+    if dual:
+        h = (g - a.T @ (v @ ((v.T @ (a @ g)) / w))) / problem.lam
+    else:
+        h = v @ ((v.T @ g) / w)
     residual = problem.labels - a @ t
     return np.outer(residual, h) - np.outer(a @ h, t)
 
@@ -169,30 +188,29 @@ def sample_negatives(
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-    per_level: list[list[np.ndarray]] = []
-    for fm in pyramid.levels:
+    # cells are numbered level by level, row-major within a level
+    rows = [fm.data.reshape(-1, fm.depth) for fm in pyramid.levels]
+    starts = np.cumsum([0] + [len(r) for r in rows])
+    per_level = []
+    for fm, start in zip(pyramid.levels, starts):
         cys, cxs = _cell_centers(pyramid, fm.level)
         out_y = (cys < gt_box.y) | (cys >= gt_box.y2)
         out_x = (cxs < gt_box.x) | (cxs >= gt_box.x2)
-        outside = np.outer(out_y, np.ones_like(out_x, dtype=bool)) | np.outer(
-            np.ones_like(out_y, dtype=bool), out_x
-        )
-        rr, cc = np.nonzero(outside)
-        per_level.append([fm.data[r, c].astype(np.float64) for r, c in zip(rr, cc)])
+        per_level.append(start + np.flatnonzero(out_y[:, None] | out_x[None, :]))
     if balance_levels:
-        picked: list[np.ndarray] = []
         share = max(1, q // len(per_level))
-        for feats in per_level:
-            idx = rng.permutation(len(feats))[:share]
-            picked.extend(feats[i] for i in idx)
-        pool = picked
-        rng.shuffle(pool)
-        result = pool[:q]
+        chosen = np.concatenate([ids[rng.permutation(len(ids))[:share]] for ids in per_level])
+        rng.shuffle(chosen)
+        chosen = chosen[:q]
     else:
-        pool = [f for feats in per_level for f in feats]
-        idx = rng.permutation(len(pool))[:q]
-        result = [pool[i] for i in idx]
-    return result, max(0, q - len(result))
+        pool = np.concatenate(per_level)
+        chosen = pool[rng.permutation(len(pool))[:q]]
+    level_of = np.searchsorted(starts, chosen, side="right") - 1
+    out = np.empty((len(chosen), pyramid.levels[0].depth))
+    for lvl, level_rows in enumerate(rows):
+        sel = level_of == lvl
+        out[sel] = level_rows[chosen[sel] - starts[lvl]]
+    return list(out), max(0, q - len(out))
 
 
 def sample_positives(

@@ -321,6 +321,32 @@ class TestMalformedJsonl:
         assert rc == 1
         assert "gt.jsonl:2:" in err and "'present'" in err
 
+    def test_track_line_not_an_object_is_user_error(self, tmp_path, capsys):
+        rc = self.run_eval(tmp_path, [1, 2], dict(self.GT, frame=1))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "tracks.jsonl:2:" in err and "not a JSON object" in err
+
+    def test_groundtruth_line_not_an_object_is_user_error(self, tmp_path, capsys):
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=1), [1, 2])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "gt.jsonl:2:" in err and "not a JSON object" in err
+
+    def test_track_field_of_wrong_type_is_user_error(self, tmp_path, capsys):
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=1, confidence="abc"),
+                           dict(self.GT, frame=1))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "tracks.jsonl:2:" in err and "abc" in err
+
+    def test_groundtruth_field_of_wrong_type_is_user_error(self, tmp_path, capsys):
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=1),
+                           dict(self.GT, frame=[1]))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "gt.jsonl:2:" in err and "bad groundtruth" in err
+
 
 class TestGradcheck:
     def test_prints_error_and_passes(self, capsys):

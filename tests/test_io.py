@@ -93,6 +93,53 @@ class TestContainerRoundtrip:
         with pytest.raises(ContainerError, match="byte_length"):
             pyramid_from_bytes(bad)
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_decoded_levels_are_writable_and_independent(self, tmp_path, from_file):
+        buf = pyramid_to_bytes(small_pyramid())
+        source = bytes(buf)
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(buf)
+        out = read_container(path) if from_file else pyramid_from_bytes(buf)
+        before = [fm.data.copy() for fm in out.levels]
+        for fm in out.levels:
+            assert fm.data.flags.writeable and fm.data.dtype == np.float32
+        out.levels[0].data[:] = 7.0
+        assert np.all(out.levels[0].data == 7.0)
+        for fm, old in zip(out.levels[1:], before[1:]):
+            assert fm.data.tobytes() == old.tobytes()
+        assert buf == source
+        assert path.read_bytes() == source
+
+    def test_file_without_header_terminator_rejected(self, tmp_path):
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(b'{"levels": []}')
+        with pytest.raises(ContainerError, match="terminator"):
+            read_container(path)
+
+    def test_truncated_file_names_lengths(self, tmp_path):
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(pyramid_to_bytes(small_pyramid())[:-10])
+        with pytest.raises(ContainerError, match="truncated"):
+            read_container(path)
+
+    def test_levels_not_a_list_rejected(self):
+        buf = pyramid_to_bytes(small_pyramid())
+        newline = buf.index(b"\n")
+        header = json.loads(buf[:newline])
+        header["levels"] = 3
+        with pytest.raises(ContainerError, match="levels"):
+            pyramid_from_bytes(json.dumps(header).encode() + buf[newline:])
+
+    @pytest.mark.parametrize("dims", [(-8, -8, 3), (8, -8, -3), (0, 8, 3)])
+    def test_nonpositive_shape_rejected_naming_level(self, dims):
+        buf = pyramid_to_bytes(small_pyramid())
+        newline = buf.index(b"\n")
+        header = json.loads(buf[:newline])
+        header["levels"][0].update(height=dims[0], width=dims[1], depth=dims[2])
+        header["levels"][0]["byte_length"] = dims[0] * dims[1] * dims[2] * 4
+        with pytest.raises(ContainerError, match="level 2"):
+            pyramid_from_bytes(json.dumps(header).encode() + buf[newline:])
+
     def test_unknown_header_keys_ignored(self):
         buf = pyramid_to_bytes(small_pyramid())
         newline = buf.index(b"\n")

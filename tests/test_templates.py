@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError, SolverError
-from fpntrack.pyramid import BoundingBox, extract_template
+from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, extract_template
 from fpntrack.scenarios import distractor_scene
 from fpntrack.synth import philox, render_frame
 from fpntrack.templates import (
+    CONDITION_LIMIT,
     RegressionProblem,
     build_template,
     ridge_backward,
@@ -45,6 +47,52 @@ def gradient_descent_minimizer(problem, tol=1e-12, max_iter=200_000):
             return t_next
         t = t_next
     return t
+
+
+def oracle_solve(problem):
+    """The reference solve: SVD condition number of the normal matrix, then an LU solve.
+
+    Returns (condition number, template or None when the gate refuses,
+    and the normal matrix).
+    """
+    a = problem.data_matrix
+    normal = a.T @ a + problem.lam * np.eye(a.shape[1])
+    cond = np.linalg.cond(normal)
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        return cond, None, normal
+    return cond, np.linalg.solve(normal, a.T @ problem.labels), normal
+
+
+def oracle_backward(problem, g):
+    _, t, normal = oracle_solve(problem)
+    h = np.linalg.solve(normal, g)
+    residual = problem.labels - problem.data_matrix @ t
+    return np.outer(residual, h) - np.outer(problem.data_matrix @ h, t)
+
+
+def oracle_negatives(pyramid, gt_box, q, seed, balance_levels=False):
+    """The reference sampler: copy every out-of-box cell, then pick q of the copies."""
+    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    per_level = []
+    for fm, stride in zip(pyramid.levels, pyramid.strides):
+        cys = (np.arange(fm.height) + 0.5) * stride
+        cxs = (np.arange(fm.width) + 0.5) * stride
+        out_y = (cys < gt_box.y) | (cys >= gt_box.y2)
+        out_x = (cxs < gt_box.x) | (cxs >= gt_box.x2)
+        outside = np.outer(out_y, np.ones_like(out_x, dtype=bool)) | np.outer(
+            np.ones_like(out_y, dtype=bool), out_x
+        )
+        rr, cc = np.nonzero(outside)
+        per_level.append([fm.data[r, c].astype(np.float64) for r, c in zip(rr, cc)])
+    if balance_levels:
+        pool = []
+        share = max(1, q // len(per_level))
+        for feats in per_level:
+            pool.extend(feats[i] for i in rng.permutation(len(feats))[:share])
+        rng.shuffle(pool)
+        return pool[:q]
+    pool = [f for feats in per_level for f in feats]
+    return [pool[i] for i in rng.permutation(len(pool))[:q]]
 
 
 def finite_difference_grad(problem, g, step=1e-4):
@@ -111,6 +159,61 @@ class TestSolveRidge:
     def test_labels_must_be_one_hot(self):
         with pytest.raises(InvalidInputError):
             RegressionProblem(np.eye(2), np.array([1.0, 1.0]), lam=0.1)
+
+
+@st.composite
+def ridge_problems(draw):
+    """Both regimes (D <= rows and D > rows), low-rank data, lambda across the gate."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 40))
+    rank = draw(st.integers(1, min(rows, dim)))
+    lam = 10.0 ** draw(st.floats(-16, 1))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, dim))
+    y = np.zeros(rows)
+    y[0] = 1.0
+    return RegressionProblem(a, y, lam), rng.normal(size=dim)
+
+
+class TestSolveMatchesOracle:
+    # Both solves lose about cond * eps of relative accuracy, so values are
+    # compared where that loss stays well under the 1e-9 tolerance.
+    WELL_CONDITIONED = 1e5
+
+    @settings(max_examples=300, deadline=None)
+    @given(ridge_problems())
+    def test_gate_template_and_backward_match(self, case):
+        problem, g = case
+        cond, expected, _ = oracle_solve(problem)
+        try:
+            got = solve_ridge(problem).values
+        except SolverError:
+            got = None
+        if 1e11 <= cond <= 1e13:
+            return
+        assert (got is None) == (expected is None), f"condition number {cond:.3e}"
+        if expected is None or cond > self.WELL_CONDITIONED:
+            return
+        scale = max(np.max(np.abs(expected)), 1e-300)
+        assert np.max(np.abs(got - expected)) <= 1e-9 * scale
+        want = oracle_backward(problem, g)
+        got_grad = ridge_backward(problem, g)
+        assert np.max(np.abs(got_grad - want)) <= 1e-9 * max(np.max(np.abs(want)), 1e-300)
+
+    def test_backward_refuses_singular_system(self):
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(SolverError, match="lambda"):
+            ridge_backward(RegressionProblem(a, np.array([1.0, 0.0]), lam=1e-300), np.ones(2))
+
+    def test_dual_backward_matches_finite_differences(self):
+        rng = philox(17)
+        prob = random_problem(rng, 40, 8, lam=0.1)  # D=40 > 9 rows: dual regime
+        g = rng.normal(size=40)
+        analytic = ridge_backward(prob, g)
+        numeric = finite_difference_grad(prob, g)
+        rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
+        assert rel < 1e-4
 
 
 class TestMeanTemplates:
@@ -206,6 +309,30 @@ class TestSampling:
         a, _ = sample_negatives(pyr, boxes[0], 16, seed=5)
         b, _ = sample_negatives(pyr, boxes[0], 16, seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        base=st.integers(4, 24),
+        box=st.tuples(st.floats(-20, 90), st.floats(-20, 90), st.floats(1, 80), st.floats(1, 80)),
+        q=st.integers(1, 600),
+        balance=st.booleans(),
+    )
+    def test_negatives_bitwise_equal_to_oracle(self, seed, base, box, q, balance):
+        rng = np.random.default_rng(seed % 1000)
+        maps = [
+            FeatureMap(lvl, rng.normal(size=(base >> i, base >> i, 5)).astype(np.float32))
+            for i, lvl in enumerate(range(2, 5))
+        ]
+        pyr = FeaturePyramid(maps)
+        gt_box = BoundingBox(*box)
+        feats, shortfall = sample_negatives(pyr, gt_box, q, seed, balance_levels=balance)
+        expected = oracle_negatives(pyr, gt_box, q, seed, balance_levels=balance)
+        assert len(feats) == len(expected)
+        assert shortfall == q - len(expected)
+        for got, want in zip(feats, expected):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     def test_positives_p1_is_center_feature(self):
         spec = distractor_scene(0)
