@@ -3,7 +3,7 @@
 Similarity is a 1x1 cross-correlation: each cell's score is the inner
 product of its feature with the template. Reweighting multiplies each
 cell's feature vector by its score. Scores are raw inner products, passed
-through unclipped and unnormalized by default.
+through unclipped and unnormalized.
 """
 
 from __future__ import annotations
@@ -75,21 +75,13 @@ def attend_pyramid(
     pyramid: FeaturePyramid,
     template,
     mode: str = "tracking",
-    normalize_scores: bool = False,
 ) -> FeaturePyramid:
     """Apply template attention per level; detection mode is the identity."""
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "detection":
         return pyramid
-    out = []
-    for fm in pyramid.levels:
-        sim = similarity(fm, template)
-        if normalize_scores:
-            peak = np.abs(sim.scores).max()
-            if peak > 0:
-                sim = SimilarityMap(sim.level, sim.scores / peak)
-        out.append(reweight(fm, sim))
+    out = [reweight(fm, similarity(fm, template)) for fm in pyramid.levels]
     return FeaturePyramid(
         out,
         strides=pyramid.strides,

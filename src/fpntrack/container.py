@@ -195,28 +195,31 @@ def load_manifest(path) -> SequenceManifest:
     try:
         init_box = _box_from_list(doc["init_box"])
         raw_frames = doc["frames"]
-    except KeyError as exc:
-        raise ContainerError(f"manifest missing key {exc}") from exc
+    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+        raise ContainerError(f"{path}: bad manifest: {_reason(exc)}") from exc
     frames = []
-    for rec in raw_frames:
-        pyr = base / rec["pyramid"]
-        if not pyr.exists():
+    for i, rec in _json_list_records(path, raw_frames, "manifest frame"):
+        try:
+            frame = int(rec["frame"])
+            pyr = base / rec["pyramid"]
+            cand = base / rec["candidates"] if rec.get("candidates") else None
+            gt = None
+            if rec.get("groundtruth") is not None:
+                g = rec["groundtruth"]
+                gt = GroundtruthFrame(
+                    frame=frame,
+                    present=bool(g.get("present", False)),
+                    box=_box_from_list(g["box"]) if g.get("box") else None,
+                    mask=_mask_from_json(g["mask"]) if g.get("mask") else None,
+                )
+        except (KeyError, AttributeError, TypeError, ValueError, ContainerError,
+                InvalidInputError) as exc:
+            raise ContainerError(f"{path}: bad manifest frame {i}: {_reason(exc)}") from exc
+        if not pyr.is_file():
             raise ContainerError(f"manifest references missing pyramid {pyr}")
-        cand = None
-        if rec.get("candidates"):
-            cand = base / rec["candidates"]
-            if not cand.exists():
-                raise ContainerError(f"manifest references missing candidates {cand}")
-        gt = None
-        if rec.get("groundtruth") is not None:
-            g = rec["groundtruth"]
-            gt = GroundtruthFrame(
-                frame=int(rec["frame"]),
-                present=bool(g.get("present", False)),
-                box=_box_from_list(g["box"]) if g.get("box") else None,
-                mask=_mask_from_json(g["mask"]) if g.get("mask") else None,
-            )
-        frames.append(ManifestFrame(int(rec["frame"]), pyr, cand, gt))
+        if cand is not None and not cand.is_file():
+            raise ContainerError(f"manifest references missing candidates {cand}")
+        frames.append(ManifestFrame(frame, pyr, cand, gt))
     return SequenceManifest(init_box, frames)
 
 
@@ -236,9 +239,12 @@ def load_candidates(path) -> list[tuple[BoundingBox, Optional[float]]]:
     except json.JSONDecodeError as exc:
         raise ContainerError(f"malformed candidates file: {exc}") from exc
     out = []
-    for rec in records:
-        conf = rec.get("confidence")
-        out.append((_box_from_list(rec["box"]), None if conf is None else float(conf)))
+    for i, rec in _json_list_records(path, records, "candidate"):
+        try:
+            conf = rec.get("confidence")
+            out.append((_box_from_list(rec["box"]), None if conf is None else float(conf)))
+        except (KeyError, TypeError, ValueError, ContainerError, InvalidInputError) as exc:
+            raise ContainerError(f"{path}: bad candidate {i}: {_reason(exc)}") from exc
     return out
 
 
@@ -254,6 +260,20 @@ def write_tracks(track: Track, path) -> None:
             if entry.detection.mask is not None:
                 rec["mask"] = _mask_to_json(entry.detection.mask)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _json_list_records(path, records, what: str):
+    """Yield (index, record) for a JSON list whose entries must be JSON objects."""
+    if not isinstance(records, list):
+        raise ContainerError(f"{path}: {what} records must be a JSON list, got {records!r}")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ContainerError(f"{path}: {what} {i} is not a JSON object: {rec!r}")
+        yield i, rec
 
 
 def _jsonl_records(path, what: str):

@@ -96,14 +96,24 @@ class Mask:
 
     @classmethod
     def from_box(cls, box: BoundingBox, height: int, width: int) -> "Mask":
-        arr = np.zeros((height, width), dtype=bool)
+        """The box rasterized, with the runs ``from_array`` would give."""
         c0 = max(0, math.ceil(box.x))
         c1 = min(width, math.ceil(box.x2))
         r0 = max(0, math.ceil(box.y))
         r1 = min(height, math.ceil(box.y2))
-        if r1 > r0 and c1 > c0:
-            arr[r0:r1, c0:c1] = True
-        return cls.from_array(arr)
+        total = height * width
+        if total == 0:
+            return cls(height, width, ())
+        if r1 <= r0 or c1 <= c0:
+            return cls(height, width, (total,))
+        ones = c1 - c0
+        if ones == width:  # full rows merge into one run
+            rows = [(r1 - r0) * width]
+        else:
+            rows = [ones, width - ones] * (r1 - r0 - 1) + [ones]
+        tail = total - (r1 - 1) * width - c1
+        runs = [r0 * width + c0, *rows] + ([tail] if tail else [])
+        return cls(height, width, tuple(runs))
 
     def to_array(self) -> np.ndarray:
         out = np.zeros(self.height * self.width, dtype=bool)

@@ -8,13 +8,22 @@ confusing the two and a discriminative template should not.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import GroundtruthFrame, GroundtruthSequence, average_overlap
-from .pyramid import BoundingBox
-from .synth import SceneObject, SceneSpec, philox, render_frame, synth_candidates
+from .pyramid import BoundingBox, FeaturePyramid
+from .synth import (
+    SceneObject,
+    SceneSpec,
+    candidate_features,
+    jittered_boxes,
+    philox,
+    render_frame,
+    score_candidates,
+)
 from .tracker import TrackerConfig, run_track
 
 
@@ -75,6 +84,50 @@ def distractor_scene(seed: int, params: SuiteParams | None = None) -> SceneSpec:
     )
 
 
+@dataclass(frozen=True)
+class RenderedScene:
+    """What tracking a suite scene needs that no template kind changes.
+
+    ``candidates`` holds, per frame, the jittered candidate boxes, their
+    centre features and those features' norms.
+    """
+
+    init_pyramid: FeaturePyramid
+    init_box: BoundingBox
+    candidates: list[tuple[list[BoundingBox], np.ndarray, list]]
+    groundtruth: GroundtruthSequence
+
+
+def render_scene(spec: SceneSpec, params: SuiteParams | None = None) -> RenderedScene:
+    """Render every frame once, draw its candidates and read their features."""
+    params = params or SuiteParams()
+    ti = spec.target_index
+    candidates = []
+    gt = []
+    for f in range(spec.num_frames):
+        pyramid, boxes, _ = render_frame(spec, f)
+        if f == 0:
+            init_pyramid, init_box = pyramid, boxes[ti]
+        cand = jittered_boxes(
+            boxes, params.jitter, params.candidates_per_object, spec.seed * 100003 + f
+        )
+        candidates.append((cand, *candidate_features(pyramid, cand)))
+        gt.append(GroundtruthFrame(f, boxes[ti] is not None, boxes[ti]))
+    return RenderedScene(init_pyramid, init_box, candidates, GroundtruthSequence(gt))
+
+
+def scene_ao(
+    scene: RenderedScene, template_kind: str, config: TrackerConfig, **template_kwargs
+) -> float:
+    """Track a rendered scene with the given template kind, return AO."""
+    frames = [functools.partial(score_candidates, *cand) for cand in scene.candidates]
+    track = run_track(
+        frames, scene.init_box, scene.init_pyramid, config, template_kind, **template_kwargs
+    )
+    ao, _ = average_overlap(track, scene.groundtruth)
+    return ao
+
+
 def sequence_ao(
     spec: SceneSpec,
     template_kind: str,
@@ -83,32 +136,7 @@ def sequence_ao(
     **template_kwargs,
 ) -> float:
     """Render a scene, track it with the given template kind, return AO."""
-    params = params or SuiteParams()
-    rendered = [render_frame(spec, f) for f in range(spec.num_frames)]
-    init_pyramid, init_boxes, _ = rendered[0]
-    init_box = init_boxes[spec.target_index]
-    frames = [
-        (
-            lambda template, pyr=pyr, boxes=boxes, f=f: synth_candidates(
-                pyr,
-                boxes,
-                template,
-                params.jitter,
-                params.candidates_per_object,
-                spec.seed * 100003 + f,
-            )
-        )
-        for f, (pyr, boxes, _) in enumerate(rendered)
-    ]
-    track = run_track(frames, init_box, init_pyramid, config, template_kind, **template_kwargs)
-    gt = GroundtruthSequence(
-        [
-            GroundtruthFrame(f, boxes[spec.target_index] is not None, boxes[spec.target_index])
-            for f, (_, boxes, _) in enumerate(rendered)
-        ]
-    )
-    ao, _ = average_overlap(track, gt)
-    return ao
+    return scene_ao(render_scene(spec, params), template_kind, config, **template_kwargs)
 
 
 def distractor_suite_ao(
@@ -119,16 +147,14 @@ def distractor_suite_ao(
     config: TrackerConfig | None = None,
     **template_kwargs,
 ) -> dict[str, np.ndarray]:
-    """Mean-AO suite: one scene per seed, tracked once per template kind."""
+    """Mean-AO suite: one scene per seed, rendered once, tracked once per kind."""
     params = params or SuiteParams()
     config = config or TrackerConfig(smoothing_enabled=False)
     results: dict[str, list[float]] = {k: [] for k in kinds}
     for i in range(num_sequences):
-        spec = distractor_scene(base_seed + i, params)
+        scene = render_scene(distractor_scene(base_seed + i, params), params)
         for kind in kinds:
-            results[kind].append(
-                sequence_ao(spec, kind, config, params, **template_kwargs)
-            )
+            results[kind].append(scene_ao(scene, kind, config, **template_kwargs))
     return {k: np.asarray(v) for k, v in results.items()}
 
 
@@ -143,13 +169,9 @@ def smoothing_suite_ao(
     with_smooth = []
     without = []
     for i in range(num_sequences):
-        spec = distractor_scene(base_seed + i, params)
-        with_smooth.append(
-            sequence_ao(spec, template_kind, TrackerConfig(smoothing_enabled=True), params)
-        )
-        without.append(
-            sequence_ao(spec, template_kind, TrackerConfig(smoothing_enabled=False), params)
-        )
+        scene = render_scene(distractor_scene(base_seed + i, params), params)
+        with_smooth.append(scene_ao(scene, template_kind, TrackerConfig(smoothing_enabled=True)))
+        without.append(scene_ao(scene, template_kind, TrackerConfig(smoothing_enabled=False)))
     return np.asarray(with_smooth), np.asarray(without)
 
 

@@ -17,16 +17,10 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, extract_template
+from .rng import philox
+from .tracker import Detection
 
 Trajectory = Callable[[int], Optional[BoundingBox]]
-
-_KEY_MASK = (1 << 64) - 1
-
-
-def philox(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for a (seed, stream) pair."""
-    key = ((seed & _KEY_MASK) << 64) | (stream & _KEY_MASK)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -107,15 +101,14 @@ def render_frame(
         for obj, box in zip(spec.objects, boxes):
             if box is None:
                 continue
-            in_y = (cys >= box.y) & (cys < box.y2)
-            in_x = (cxs >= box.x) & (cxs < box.x2)
-            if not (in_y.any() and in_x.any()):
+            # cell centres inside the box form one run of rows and one of columns
+            ys = slice(*np.searchsorted(cys, (box.y, box.y2)))
+            xs = slice(*np.searchsorted(cxs, (box.x, box.x2)))
+            if ys.start == ys.stop or xs.start == xs.stop:
                 continue
-            fy = _cosine_window(cys, box.cy, box.h / 2)
-            fx = _cosine_window(cxs, box.cx, box.w / 2)
-            falloff = np.outer(fy * in_y, fx * in_x)
-            inside = np.outer(in_y, in_x)
-            data[inside] = falloff[inside, None] * obj.identity
+            fy = _cosine_window(cys[ys], box.cy, box.h / 2)
+            fx = _cosine_window(cxs[xs], box.cx, box.w / 2)
+            data[ys, xs] = np.outer(fy, fx)[:, :, None] * obj.identity
         if spec.noise_sigma > 0:
             data += rng.normal(0.0, spec.noise_sigma, size=data.shape)
         maps.append(FeatureMap(lvl, data))
@@ -153,28 +146,49 @@ def jittered_boxes(
     return out
 
 
+def _confidence(dot, feature_norm, template_norm) -> float:
+    """Cosine similarity mapped to [0, 1] from a dot product and the two norms."""
+    if feature_norm == 0 or template_norm == 0:
+        return 0.0
+    cos = float(dot / (feature_norm * template_norm))
+    return min(max((cos + 1.0) / 2.0, 0.0), 1.0)
+
+
 def cosine_confidence(feature: np.ndarray, template: np.ndarray) -> float:
     """Cosine similarity mapped to [0, 1]; zero vectors score 0."""
     f = np.asarray(feature, dtype=np.float64)
     t = np.asarray(template, dtype=np.float64)
-    nf = np.linalg.norm(f)
-    nt = np.linalg.norm(t)
-    if nf == 0 or nt == 0:
-        return 0.0
-    cos = float(np.dot(f, t) / (nf * nt))
-    return min(max((cos + 1.0) / 2.0, 0.0), 1.0)
+    return _confidence(np.dot(f, t), np.linalg.norm(f), np.linalg.norm(t))
 
 
-def score_candidates(pyramid: FeaturePyramid, boxes: Sequence[BoundingBox], template) -> list:
-    """Score candidate boxes against a template via center-feature cosine."""
-    from .tracker import Detection
+def candidate_features(
+    pyramid: FeaturePyramid, boxes: Sequence[BoundingBox]
+) -> tuple[np.ndarray, list]:
+    """The boxes' centre features as float64 rows, and each row's norm.
 
-    values = getattr(template, "values", template)
-    dets = []
-    for box in boxes:
-        conf = cosine_confidence(extract_template(pyramid, box), values)
-        dets.append(Detection(box=box, confidence=conf))
-    return dets
+    Nothing here depends on a template, so one read serves every template
+    the candidates are scored against.
+    """
+    features = np.empty((len(boxes), pyramid.depth))
+    for i, box in enumerate(boxes):
+        features[i] = extract_template(pyramid, box)
+    return features, [np.linalg.norm(f) for f in features]
+
+
+def score_candidates(
+    boxes: Sequence[BoundingBox], features: np.ndarray, norms: Sequence, template
+) -> list[Detection]:
+    """Score candidates by the cosine of their centre features with the template.
+
+    Each confidence equals ``cosine_confidence`` of the box's centre feature:
+    the same per-row dot product and norms, so the same bits.
+    """
+    values = np.asarray(getattr(template, "values", template), dtype=np.float64)
+    template_norm = np.linalg.norm(values)
+    return [
+        Detection(box=box, confidence=_confidence(np.dot(f, values), norm, template_norm))
+        for box, f, norm in zip(boxes, features, norms)
+    ]
 
 
 def synth_candidates(
@@ -184,7 +198,7 @@ def synth_candidates(
     jitter: float,
     k: int,
     seed: int,
-) -> list:
+) -> list[Detection]:
     """Candidate detections for one frame, scored against the active template."""
     boxes = jittered_boxes(gt_boxes, jitter, k, seed)
-    return score_candidates(pyramid, boxes, template)
+    return score_candidates(boxes, *candidate_features(pyramid, boxes), template)

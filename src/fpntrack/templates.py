@@ -31,6 +31,7 @@ from .pyramid import (
     center_cell,
     extract_template,
 )
+from .rng import philox
 
 TEMPLATE_KINDS = ("center", "mean_pos", "mean_diff", "ridge")
 
@@ -187,7 +188,7 @@ def sample_negatives(
     """
     if q < 1:
         raise InvalidInputError("q must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    rng = philox(0, stream=seed)
     # cells are numbered level by level, row-major within a level
     rows = [fm.data.reshape(-1, fm.depth) for fm in pyramid.levels]
     starts = np.cumsum([0] + [len(r) for r in rows])
@@ -233,7 +234,7 @@ def sample_positives(
     in_x = (cxs >= gt_box.x) & (cxs < gt_box.x2)
     rr, cc = np.nonzero(np.outer(in_y, in_x))
     cells = [(r, c) for r, c in zip(rr, cc) if (r, c) != (row0, col0)]
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    rng = philox(0, stream=seed)
     idx = rng.permutation(len(cells))[: p - 1]
     picked = [(row0, col0)] + [cells[i] for i in idx]
     feats = [fm.data[r, c].astype(np.float64) for r, c in picked]

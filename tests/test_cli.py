@@ -348,6 +348,64 @@ class TestMalformedJsonl:
         assert "gt.jsonl:2:" in err and "bad groundtruth" in err
 
 
+class TestMalformedSequence:
+    """`track` on a synthesized sequence with one record broken: exit 1, file and index named."""
+
+    @pytest.fixture
+    def seq(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(SCENE, num_frames=3)))
+        out = tmp_path / "seq"
+        assert main(["synth", "--scene", str(scene_path), "--out-dir", str(out)]) == 0
+        return out
+
+    def run_track(self, seq, capsys):
+        rc = main(["track", "--sequence", str(seq / "manifest.json"),
+                   "--out", str(seq / "tracks.jsonl"), "--template-mode", "center"])
+        return rc, capsys.readouterr().err
+
+    def edit_manifest_frame(self, seq, **changes):
+        path = seq / "manifest.json"
+        doc = json.loads(path.read_text())
+        frame = doc["frames"][1]
+        for key, value in changes.items():
+            if value is None:
+                del frame[key]
+            else:
+                frame[key] = value
+        path.write_text(json.dumps(doc))
+
+    def test_candidate_without_box_is_user_error(self, seq, capsys):
+        (seq / "candidates_0001.json").write_text(json.dumps([{"confidence": 0.5}]))
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "candidates_0001.json: bad candidate 0: missing field 'box'" in err
+
+    def test_candidate_that_is_a_list_is_user_error(self, seq, capsys):
+        (seq / "candidates_0001.json").write_text(json.dumps([[1, 2, 3, 4]]))
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "candidates_0001.json: candidate 0 is not a JSON object" in err
+
+    def test_manifest_frame_without_pyramid_is_user_error(self, seq, capsys):
+        self.edit_manifest_frame(seq, pyramid=None)
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "manifest.json: bad manifest frame 1: missing field 'pyramid'" in err
+
+    def test_manifest_frame_index_not_an_int_is_user_error(self, seq, capsys):
+        self.edit_manifest_frame(seq, frame="x")
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "manifest.json: bad manifest frame 1:" in err and "'x'" in err
+
+    def test_manifest_frame_pyramid_that_is_a_directory_is_user_error(self, seq, capsys):
+        self.edit_manifest_frame(seq, pyramid="")
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "manifest references missing pyramid" in err
+
+
 class TestGradcheck:
     def test_prints_error_and_passes(self, capsys):
         rc = main(["gradcheck", "--dim", "6", "--negatives", "8"])

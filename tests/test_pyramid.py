@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import (
@@ -172,3 +172,31 @@ class TestMaskRle:
         arr = np.zeros((6, 6), dtype=bool)
         arr[2:4, 1:4] = True
         assert np.array_equal(mask.to_array(), arr)
+
+    @settings(max_examples=500)
+    @given(
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.floats(-12, 12),
+        st.floats(-12, 12),
+        st.floats(0.01, 24),
+        st.floats(0.01, 24),
+    )
+    def test_from_box_runs_equal_dense_rasterization(self, h, w, x, y, bw, bh):
+        # boxes reach past every side of canvases that include 0xW and Hx0
+        box = BoundingBox(x, y, bw, bh)
+        rows, cols = np.arange(h), np.arange(w)
+        dense = np.outer((rows >= box.y) & (rows < box.y2), (cols >= box.x) & (cols < box.x2))
+        assert Mask.from_box(box, h, w).runs == Mask.from_array(dense).runs
+
+    @pytest.mark.parametrize(
+        "box, h, w, runs",
+        [
+            (BoundingBox(0, 0, 2, 1), 2, 3, (0, 2, 4)),  # starts at (0, 0)
+            (BoundingBox(0, 1, 3, 1), 2, 3, (3, 3)),  # full-width row, no trailing zeros
+            (BoundingBox(5, 5, 2, 2), 2, 3, (6,)),  # no intersection
+            (BoundingBox(0, 0, 2, 2), 0, 3, ()),  # 0-size canvas
+        ],
+    )
+    def test_from_box_edge_runs(self, box, h, w, runs):
+        assert Mask.from_box(box, h, w).runs == runs

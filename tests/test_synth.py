@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import BoundingBox, extract_template
@@ -7,11 +8,15 @@ from fpntrack.scenarios import correlated_identities, distractor_scene, linear_t
 from fpntrack.synth import (
     SceneObject,
     SceneSpec,
+    candidate_features,
     cosine_confidence,
     jittered_boxes,
+    philox,
     render_frame,
+    score_candidates,
     synth_candidates,
 )
+from tests.test_pyramid import make_pyramid
 
 
 def unit(depth, axis=0):
@@ -123,6 +128,30 @@ class TestCandidates:
         pyr, boxes, _ = render_frame(spec, 0)
         dets = synth_candidates(pyr, boxes, unit(16), 0.05, 3, seed=0)
         assert len(dets) == 6  # two visible objects, three candidates each
+
+
+class TestScoreCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 8), st.booleans())
+    def test_equals_per_box_cosine_confidence(self, seed, depth, n, zero_template):
+        rng = philox(seed)
+        pyr = make_pyramid(depth, base=8)  # 8x8 down to 1x1 cells over 32 px
+        for fm in pyr.levels:
+            fm.data[:] = rng.normal(size=fm.data.shape)
+            fm.data[rng.random(fm.data.shape[:2]) < 0.3] = 0.0  # zero-norm features
+        boxes = [
+            BoundingBox(*rng.uniform(-8, 40, size=2), *rng.uniform(0.5, 40, size=2))
+            for _ in range(n)
+        ]
+        template = np.zeros(depth) if zero_template else rng.normal(size=depth)
+        dets = score_candidates(boxes, *candidate_features(pyr, boxes), template)
+        expected = [cosine_confidence(extract_template(pyr, b), template) for b in boxes]
+        assert [d.box for d in dets] == boxes
+        assert np.array([d.confidence for d in dets]).tobytes() == np.array(expected).tobytes()
+
+    def test_features_of_no_boxes(self):
+        features, norms = candidate_features(make_pyramid(depth=5), [])
+        assert features.shape == (0, 5) and norms == []
 
 
 class TestIdentities:

@@ -283,6 +283,13 @@ class TestRidgeBackward:
             assert rel < 1e-4
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, -1, -5, 2 ** 63, 2 ** 64 - 1, 12345678901234])
+def test_sampler_stream_is_philox_stream_keyed_on_seed(seed):
+    # the samplers draw from philox(0, stream=seed), the same stream as Philox(key=seed)
+    direct = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    assert np.array_equal(direct.random(64), philox(0, stream=seed).random(64))
+
+
 class TestSampling:
     def test_negatives_exclude_box_covering_image(self):
         pyr = make_pyramid()
