@@ -4,6 +4,13 @@ Similarity is a 1x1 cross-correlation: each cell's score is the inner
 product of its feature with the template. Reweighting multiplies each
 cell's feature vector by its score. Scores are raw inner products, passed
 through unclipped and unnormalized.
+
+Scores are float64 inner products. They are computed in blocks of whole
+image rows of about 1 MB (``BLOCK_ELEMENTS`` float64 values), each converted
+into one reused buffer, so no level-sized float64 temporary is made. Each row
+goes through the same matrix-vector product as in the whole-level
+``data.astype(np.float64) @ values``, so the scores are bitwise equal to it
+for row-major levels (every level this package decodes or builds).
 """
 
 from __future__ import annotations
@@ -16,6 +23,10 @@ from .errors import InvalidInputError
 from .pyramid import FeatureMap, FeaturePyramid
 
 MODES = ("tracking", "detection")
+
+# float64 elements per block of rows in `similarity`: 1 MB, about 4 rows of
+# a 128x128x256 level; a row larger than this is a block of its own
+BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -57,12 +68,26 @@ def similarity(level_map: FeatureMap, template) -> SimilarityMap:
         raise InvalidInputError(
             f"template depth {values.size} != feature depth {level_map.depth}"
         )
-    scores = level_map.data.astype(np.float64) @ values
+    data = level_map.data
+    height, width, depth = data.shape
+    rows = min(height, max(1, BLOCK_ELEMENTS // (width * depth)))
+    # a 3-D block keeps one matrix-vector product per image row, as the
+    # whole-level product has; flattening the block changes the bits
+    buf = np.empty((rows, width, depth), dtype=np.float64)
+    scores = np.empty((height, width), dtype=np.float64)
+    for r in range(0, height, rows):
+        block = buf[: min(rows, height - r)]
+        block[...] = data[r : r + len(block)]
+        np.matmul(block, values, out=scores[r : r + len(block)])
     return SimilarityMap(level_map.level, scores)
 
 
 def reweight(level_map: FeatureMap, sim: SimilarityMap) -> FeatureMap:
-    """Scale each cell's feature vector by that cell's similarity score."""
+    """Scale each cell's feature vector by that cell's similarity score.
+
+    The output is the only level-sized array made; the float32 cast acts on
+    the (height, width) scores before they broadcast over the depth.
+    """
     if sim.scores.shape != (level_map.height, level_map.width):
         raise InvalidInputError(
             f"similarity shape {sim.scores.shape} != spatial shape "

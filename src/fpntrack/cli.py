@@ -17,7 +17,7 @@ import numpy as np
 
 from . import container, metrics, synth, templates
 from .attention import similarity_pyramid
-from .errors import FpnTrackError, UsageError
+from .errors import ContainerError, FpnTrackError, InvalidInputError, UsageError
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, extract_template
 from .synth import SceneObject, SceneSpec, philox
 from .scenarios import correlated_identities, linear_trajectory
@@ -171,12 +171,20 @@ def cmd_solve_template(args) -> int:
 
 def cmd_attend(args) -> int:
     pyramid = container.read_container(args.pyramid)
-    doc = json.loads(Path(args.template).read_text())
-    template = np.asarray(doc["values"], dtype=np.float64)
+    template = container.load_template(args.template)
     if args.mode == "detection":
         sims = [np.ones((fm.height, fm.width)) for fm in pyramid.levels]
     else:
-        sims = [s.scores for s in similarity_pyramid(pyramid, template)]
+        try:
+            sims = [s.scores for s in similarity_pyramid(pyramid, template)]
+        except InvalidInputError as exc:  # a depth mismatch or a float64 overflow
+            raise ContainerError(f"{args.template}: {exc}") from exc
+        peak = max(float(np.abs(s).max()) for s in sims)
+        if peak > float(np.finfo(np.float32).max):
+            raise ContainerError(
+                f"{args.template}: similarity scores overflow float32 "
+                f"(largest magnitude {peak:.3g})"
+            )
     maps = [
         FeatureMap(fm.level, s[:, :, None]) for fm, s in zip(pyramid.levels, sims)
     ]

@@ -1,4 +1,5 @@
-"""On-disk formats: pyramid containers, sequence manifests, track/gt JSONL.
+"""On-disk formats: pyramid containers, sequence manifests, candidate and template
+JSON, track/gt JSONL.
 
 A pyramid container is a single-line JSON header terminated by a newline,
 followed by a raw little-endian float32 payload. Byte offsets in the
@@ -242,10 +243,31 @@ def load_candidates(path) -> list[tuple[BoundingBox, Optional[float]]]:
     for i, rec in _json_list_records(path, records, "candidate"):
         try:
             conf = rec.get("confidence")
-            out.append((_box_from_list(rec["box"]), None if conf is None else float(conf)))
+            if conf is not None:
+                conf = float(conf)
+                if not 0.0 <= conf <= 1.0:
+                    raise ContainerError(f"confidence {conf} outside [0, 1]")
+            out.append((_box_from_list(rec["box"]), conf))
         except (KeyError, TypeError, ValueError, ContainerError, InvalidInputError) as exc:
             raise ContainerError(f"{path}: bad candidate {i}: {_reason(exc)}") from exc
     return out
+
+
+def load_template(path) -> np.ndarray:
+    """The `values` vector of a template JSON file written by solve-template."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ContainerError(f"{path}: malformed template file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ContainerError(f"{path}: template file is not a JSON object: {doc!r}")
+    try:
+        values = np.asarray(doc["values"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: bad template: {_reason(exc)}") from exc
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise ContainerError(f"{path}: bad template: values must be a list of finite numbers")
+    return values
 
 
 def write_tracks(track: Track, path) -> None:

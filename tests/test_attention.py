@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fpntrack import attention
 from fpntrack.attention import attend_pyramid, reweight, similarity, similarity_pyramid
 from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import FeatureMap, assign_level, center_cell
@@ -49,6 +52,70 @@ class TestSimilarity:
         lhs = similarity(fm, a * t1 + b * t2).scores
         rhs = a * similarity(fm, t1).scores + b * similarity(fm, t2).scores
         assert np.allclose(lhs, rhs, atol=1e-4)
+
+
+def whole_level_scores(data, values):
+    """The whole-level float64 product that the blocked `similarity` must match."""
+    return data.astype(np.float64) @ values
+
+
+def seeded_level(seed, height, width, depth):
+    rng = philox(seed)
+    return rng.normal(size=(height, width, depth)).astype(np.float32), rng.normal(size=depth)
+
+
+class TestBlockedSimilarity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 19),
+        st.integers(1, 9),
+        st.integers(1, 40),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_whole_level_product(self, height, width, depth, budget, seed):
+        # small budgets give blocks of 1..height rows, with a short last block
+        # when the height is not a multiple, and one-row blocks when a row is
+        # over the budget
+        data, values = seeded_level(seed, height, width, depth)
+        with mock.patch.object(attention, "BLOCK_ELEMENTS", budget):
+            scores = similarity(FeatureMap(2, data), values).scores
+        assert np.array_equal(scores, whole_level_scores(data, values))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 1, 1),  # 1x1 level, D=1
+            (1, 1, 256),
+            (7, 5, 1),  # D=1
+            (11, 128, 256),  # 4-row blocks, 11 not a multiple of 4
+            (3, 2, 70_000),  # one row is over the budget: one-row blocks
+            (16, 16, 256),  # smaller than the budget: one block
+            (64, 64, 1024),  # the wide pyramid's finest level
+        ],
+    )
+    def test_bitwise_equal_at_default_budget(self, shape):
+        data, values = seeded_level(sum(shape), *shape)
+        scores = similarity(FeatureMap(2, data), values).scores
+        assert np.array_equal(scores, whole_level_scores(data, values))
+
+    def test_backbone_level_bitwise_equal_and_left_unchanged(self):
+        data, values = seeded_level(41, 128, 128, 256)
+        fm = FeatureMap(2, data.copy())
+        scores = similarity(fm, values).scores
+        assert np.array_equal(scores, whole_level_scores(data, values))
+        assert fm.data.dtype == np.float32
+        assert np.array_equal(fm.data, data)
+
+    def test_overflowing_scores_rejected(self):
+        fm = FeatureMap(2, np.full((3, 2, 2), 1e30, dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="NaN or Inf"):
+            similarity(fm, np.array([1e300, 1e300]))
+
+    def test_nan_template_rejected(self):
+        fm = FeatureMap(2, np.ones((3, 2, 2), dtype=np.float32))
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            similarity(fm, np.array([np.nan, 1.0]))
 
 
 class TestReweight:

@@ -387,6 +387,14 @@ class TestMalformedSequence:
         assert rc == 1
         assert "candidates_0001.json: candidate 0 is not a JSON object" in err
 
+    def test_candidate_confidence_above_one_is_user_error(self, seq, capsys):
+        (seq / "candidates_0001.json").write_text(
+            json.dumps([{"box": [8, 20, 24, 24], "confidence": 1.5}])
+        )
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "candidates_0001.json: bad candidate 0: confidence 1.5 outside [0, 1]" in err
+
     def test_manifest_frame_without_pyramid_is_user_error(self, seq, capsys):
         self.edit_manifest_frame(seq, pyramid=None)
         rc, err = self.run_track(seq, capsys)
@@ -404,6 +412,46 @@ class TestMalformedSequence:
         rc, err = self.run_track(seq, capsys)
         assert rc == 1
         assert "manifest references missing pyramid" in err
+
+
+class TestMalformedTemplate:
+    """`attend` with a broken template file: exit 1, the template file named."""
+
+    @pytest.fixture
+    def frame(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(SCENE, num_frames=3)))
+        out = tmp_path / "seq"
+        assert main(["synth", "--scene", str(scene_path), "--out-dir", str(out)]) == 0
+        return out / "frame_0000.fpyr"
+
+    def run_attend(self, frame, tmp_path, capsys, doc):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps(doc))
+        rc = main(["attend", "--pyramid", str(frame), "--template", str(template),
+                   "--out", str(tmp_path / "sims.fpyr")])
+        return rc, capsys.readouterr().err
+
+    def test_template_that_is_a_list_is_user_error(self, frame, tmp_path, capsys):
+        rc, err = self.run_attend(frame, tmp_path, capsys, [1, 2])
+        assert rc == 1
+        assert "template.json: template file is not a JSON object" in err
+
+    def test_template_without_values_is_user_error(self, frame, tmp_path, capsys):
+        rc, err = self.run_attend(frame, tmp_path, capsys, {"kind": "ridge"})
+        assert rc == 1
+        assert "template.json: bad template: missing field 'values'" in err
+
+    def test_template_with_non_numeric_values_is_user_error(self, frame, tmp_path, capsys):
+        rc, err = self.run_attend(frame, tmp_path, capsys, {"values": ["a", "b"]})
+        assert rc == 1
+        assert "template.json: bad template:" in err and "'a'" in err
+
+    def test_template_whose_scores_overflow_float32_is_user_error(self, frame, tmp_path, capsys):
+        rc, err = self.run_attend(frame, tmp_path, capsys, {"values": [1e40] * SCENE["depth"]})
+        assert rc == 1
+        assert "template.json: similarity scores overflow float32" in err
+        assert "feature map" not in err
 
 
 class TestGradcheck:
