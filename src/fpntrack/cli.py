@@ -39,6 +39,17 @@ def _parse_box(text: str) -> BoundingBox:
         raise UsageError(f"bad box {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1, so the error names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def scene_from_json(doc: dict) -> SceneSpec:
     """Build a SceneSpec from its JSON description.
 
@@ -131,8 +142,8 @@ def _template_flags(parser):
         default="ridge",
     )
     parser.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    parser.add_argument("--negatives", type=int, default=256)
-    parser.add_argument("--positives", type=int, default=16)
+    parser.add_argument("--negatives", type=_positive_int, default=256)
+    parser.add_argument("--positives", type=_positive_int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--normalize-features", action="store_true")
     parser.add_argument("--balance-levels", action="store_true")
@@ -336,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scene", required=True, help="scene description JSON")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jitter", type=float, default=0.05)
-    p.add_argument("--candidates-per-object", type=int, default=4)
+    p.add_argument("--candidates-per-object", type=_positive_int, default=4)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("solve-template", help="compute a template from a pyramid + box")
@@ -364,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.6)
     p.add_argument("--alpha-low", type=float, default=0.1)
     p.add_argument("--alpha-recover", type=float, default=0.3)
-    p.add_argument("--recover-frames", type=int, default=30)
+    p.add_argument("--recover-frames", type=_positive_int, default=30)
     p.add_argument("--presence-threshold", type=float, default=0.3)
     p.set_defaults(func=cmd_track)
 

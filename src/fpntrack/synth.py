@@ -2,13 +2,18 @@
 
 Objects are identity embeddings painted onto pyramid cells whose
 receptive-field centers fall inside the object box, scaled by a separable
-cosine window (1 at the box center, 0 at the edges). Noise and jitter use
-the counter-based Philox generator keyed on (seed, frame) so frames can be
-rendered in any order, or in parallel, with identical results.
+cosine window (1 at the box center, 0 at the edges). A frame's levels are
+row-major views into one flat array of cells, so each object costs one
+half-open in-box test of the cached cell centres of every level, one window
+per axis on the cells it covers and one assignment. Noise is then drawn
+level by level, finest first. Noise and jitter use the counter-based Philox
+generator keyed on (seed, frame) so frames can be rendered in any order, or
+in parallel, with identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -21,6 +26,9 @@ from .rng import philox
 from .tracker import Detection
 
 Trajectory = Callable[[int], Optional[BoundingBox]]
+
+# Distinct (image size, levels) whose cell centres stay cached.
+CELL_CENTRES_CACHE_SIZE = 8
 
 
 @dataclass
@@ -77,6 +85,29 @@ def _cosine_window(coords: np.ndarray, center: float, half: float) -> np.ndarray
     return 0.5 * (1.0 + np.cos(np.pi * u))
 
 
+@functools.lru_cache(maxsize=CELL_CENTRES_CACHE_SIZE)
+def _cell_centres(
+    image_height: int, image_width: int, levels: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Each level's (h, w) and the centre (cy, cx) of every cell of every level.
+
+    Cells are numbered level by level, finest first, row-major within a level.
+    The arrays are shared by every caller, so they are read-only.
+    """
+    shapes, cys, cxs = [], [], []
+    for lvl in levels:
+        stride = 2 ** lvl
+        h = math.ceil(image_height / stride)
+        w = math.ceil(image_width / stride)
+        shapes.append((h, w))
+        cys.append(np.repeat((np.arange(h) + 0.5) * stride, w))
+        cxs.append(np.tile((np.arange(w) + 0.5) * stride, h))
+    cy, cx = np.concatenate(cys), np.concatenate(cxs)
+    cy.flags.writeable = False
+    cx.flags.writeable = False
+    return tuple(shapes), cy, cx
+
+
 def render_frame(
     spec: SceneSpec, frame: int
 ) -> tuple[FeaturePyramid, list[Optional[BoundingBox]], list[Optional[Mask]]]:
@@ -88,27 +119,25 @@ def render_frame(
     if not 0 <= frame < spec.num_frames:
         raise InvalidInputError(f"frame {frame} outside [0, {spec.num_frames})")
     boxes = [obj.trajectory(frame) for obj in spec.objects]
+    shapes, cy, cx = _cell_centres(spec.image_height, spec.image_width, tuple(spec.levels))
+    cells = np.zeros((cy.size, spec.depth), dtype=np.float64)
+    for obj, box in zip(spec.objects, boxes):
+        if box is None:
+            continue
+        inside = np.flatnonzero((cy >= box.y) & (cy < box.y2) & (cx >= box.x) & (cx < box.x2))
+        if inside.size == 0:
+            continue
+        fy = _cosine_window(cy[inside], box.cy, box.h / 2)
+        fx = _cosine_window(cx[inside], box.cx, box.w / 2)
+        cells[inside] = (fy * fx)[:, None] * obj.identity
     rng = philox(spec.seed, frame)
-    depth = spec.depth
     maps = []
-    for lvl in spec.levels:
-        stride = 2 ** lvl
-        h = math.ceil(spec.image_height / stride)
-        w = math.ceil(spec.image_width / stride)
-        cys = (np.arange(h) + 0.5) * stride
-        cxs = (np.arange(w) + 0.5) * stride
-        data = np.zeros((h, w, depth), dtype=np.float64)
-        for obj, box in zip(spec.objects, boxes):
-            if box is None:
-                continue
-            # cell centres inside the box form one run of rows and one of columns
-            ys = slice(*np.searchsorted(cys, (box.y, box.y2)))
-            xs = slice(*np.searchsorted(cxs, (box.x, box.x2)))
-            if ys.start == ys.stop or xs.start == xs.stop:
-                continue
-            fy = _cosine_window(cys[ys], box.cy, box.h / 2)
-            fx = _cosine_window(cxs[xs], box.cx, box.w / 2)
-            data[ys, xs] = np.outer(fy, fx)[:, :, None] * obj.identity
+    start = 0
+    for lvl, (h, w) in zip(spec.levels, shapes):
+        data = cells[start : start + h * w].reshape(h, w, spec.depth)
+        start += h * w
+        # one draw per level, finest first, keeps the Philox stream of the
+        # per-level renderer and no temporary outgrows the largest level
         if spec.noise_sigma > 0:
             data += rng.normal(0.0, spec.noise_sigma, size=data.shape)
         maps.append(FeatureMap(lvl, data))

@@ -106,13 +106,17 @@ def _factor(problem: RegressionProblem) -> tuple[bool, np.ndarray, np.ndarray]:
     gram = a @ a.T if dual else a.T @ a
     gram[np.diag_indices_from(gram)] += lam
     w, v = np.linalg.eigh(gram)
+    smallest = lam if dual else w[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = w[-1] / (lam if dual else w[0])
+        cond = w[-1] / smallest
     if not (np.isfinite(cond) and 0 < cond <= CONDITION_LIMIT):
-        raise SolverError(
-            f"normal matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-            "increase lambda"
-        )
+        # a singular matrix's smallest eigenvalue can round below zero, so the
+        # ratio is no condition number there
+        if smallest <= 0:
+            reason = "is singular (condition number inf)"
+        else:
+            reason = f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+        raise SolverError(f"normal matrix {reason}; increase lambda")
     return dual, w, v
 
 

@@ -98,7 +98,14 @@ def rerank(candidates: Sequence[Detection], previous: Detection, alpha: float) -
 def step(
     state: TrackerState, candidates: Sequence[Detection], config: TrackerConfig
 ) -> tuple[TrackerState, Detection, bool]:
-    """One frame of tracking: select a candidate and advance the state machine."""
+    """One frame of tracking: select a candidate and advance the state machine.
+
+    A frame without candidates selects nothing and is reported absent: the
+    previous selection is carried over with confidence 0 and the smoothing
+    state is kept. On the first frame there is no previous selection, so the
+    placeholder ``Detection(BoundingBox(0, 0, 1, 1), 0.0)`` is returned and
+    becomes the previous selection for the next frame.
+    """
     if not candidates:
         if state.previous is not None:
             carried = replace(state.previous, confidence=0.0)

@@ -466,3 +466,63 @@ class TestGradcheck:
         rc = main(["gradcheck", "--dim", "6", "--negatives", "8", "--step", "10.0"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve-template", "--negatives", "0"),
+            ("solve-template", "--negatives", "-5"),
+            ("solve-template", "--positives", "0"),
+            ("track", "--negatives", "0"),
+            ("track", "--recover-frames", "0"),
+            ("synth", "--candidates-per-object", "0"),
+        ],
+    )
+    def test_nonpositive_count_names_flag_and_value(
+        self, scene_dir, tmp_path, capsys, command, flag, value
+    ):
+        # center templates draw no samples, so only the flag check can refuse
+        center = ["--template-mode", "center"]
+        required = {
+            "solve-template": ["--pyramid", str(scene_dir / "frame_0000.fpyr"),
+                               "--box", "8,20,24,24", *center],
+            "track": ["--sequence", str(scene_dir / "manifest.json"),
+                      "--out", str(tmp_path / "t.jsonl"), *center],
+            "synth": ["--scene", str(tmp_path / "scene.json"),
+                      "--out-dir", str(tmp_path / "again")],
+        }[command]
+        assert main([command, *required, f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+
+class TestSingularRidge:
+    SCENE = {
+        "image_size": [64, 64],
+        "num_frames": 3,
+        "depth": 8,
+        "seed": 1,
+        "noise_sigma": 0.0,
+        "objects": [{"start": [8, 8, 16, 16], "velocity": [1, 0], "is_target": True}],
+    }
+
+    @pytest.fixture
+    def seq(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(self.SCENE))
+        assert main(["synth", "--scene", str(scene_path), "--out-dir", str(tmp_path / "seq")]) == 0
+        return tmp_path / "seq"
+
+    @pytest.mark.parametrize("command", ["solve-template", "track"])
+    def test_lambda_zero_reports_singular_matrix(self, seq, tmp_path, capsys, command):
+        args = {
+            "solve-template": ["--pyramid", str(seq / "frame_0000.fpyr"), "--box", "8,8,16,16"],
+            "track": ["--sequence", str(seq / "manifest.json"), "--out", str(tmp_path / "t.jsonl")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args, "--lambda", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "normal matrix is singular (condition number inf)" in err
+        assert "condition number -" not in err

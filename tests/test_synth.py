@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError
-from fpntrack.pyramid import BoundingBox, extract_template
+from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, extract_template
 from fpntrack.scenarios import correlated_identities, distractor_scene, linear_trajectory
 from fpntrack.synth import (
+    _cell_centres,
     SceneObject,
     SceneSpec,
     candidate_features,
@@ -80,6 +83,110 @@ class TestRenderFrame:
         arr = masks[0].to_array()
         assert arr.shape == (64, 64)
         assert arr[32, 32] and not arr[0, 0]
+
+
+def render_frame_per_level(spec, frame):
+    """The reference renderer: each level painted on its own, each object
+    through one run of rows and one of columns and an outer product of its
+    cosine windows."""
+
+    def window(coords, center, half):
+        u = np.clip((coords - center) / half, -1.0, 1.0)
+        return 0.5 * (1.0 + np.cos(np.pi * u))
+
+    boxes = [obj.trajectory(frame) for obj in spec.objects]
+    rng = philox(spec.seed, frame)
+    maps = []
+    for lvl in spec.levels:
+        stride = 2 ** lvl
+        h = math.ceil(spec.image_height / stride)
+        w = math.ceil(spec.image_width / stride)
+        cys = (np.arange(h) + 0.5) * stride
+        cxs = (np.arange(w) + 0.5) * stride
+        data = np.zeros((h, w, spec.depth), dtype=np.float64)
+        for obj, box in zip(spec.objects, boxes):
+            if box is None:
+                continue
+            ys = slice(*np.searchsorted(cys, (box.y, box.y2)))
+            xs = slice(*np.searchsorted(cxs, (box.x, box.x2)))
+            if ys.start == ys.stop or xs.start == xs.stop:
+                continue
+            fy = window(cys[ys], box.cy, box.h / 2)
+            fx = window(cxs[xs], box.cx, box.w / 2)
+            data[ys, xs] = np.outer(fy, fx)[:, :, None] * obj.identity
+        if spec.noise_sigma > 0:
+            data += rng.normal(0.0, spec.noise_sigma, size=data.shape)
+        maps.append(FeatureMap(lvl, data))
+    pyramid = FeaturePyramid(maps, image_height=spec.image_height, image_width=spec.image_width)
+    masks = [
+        Mask.from_box(b, spec.image_height, spec.image_width) if b is not None else None
+        for b in boxes
+    ]
+    return pyramid, boxes, masks
+
+
+@st.composite
+def render_cases(draw):
+    """A scene and a frame: odd image sizes, 0-3 objects that may overlap,
+    leave the image or miss every coarse cell centre, and absent frames."""
+    height, width = draw(st.integers(1, 100)), draw(st.integers(1, 100))
+    depth = draw(st.integers(1, 24))
+    levels = draw(st.sampled_from([(2, 3, 4, 5), (1, 2, 3), (3,), (0, 1, 2, 3, 4, 5, 6)]))
+    rng = philox(draw(st.integers(0, 2 ** 32 - 1)))
+    objects, previous = [], None
+    for i in range(draw(st.integers(0, 3))):
+        if previous is not None and draw(st.booleans()):
+            box = previous  # wholly overlapping: list order decides
+        else:
+            x, y = rng.uniform(-width, 2 * width), rng.uniform(-height, 2 * height)
+            # log-uniform sizes: many boxes miss every coarse cell centre
+            size = np.exp2(rng.uniform(-2, math.log2(1.5 * max(height, width) + 1), size=2))
+            grid = draw(st.sampled_from([None, 0.5, 2.0, 4.0]))
+            if grid:  # edges on the grid of some level's cell centres
+                x, y = grid * round(x / grid), grid * round(y / grid)
+                size = grid * np.maximum(np.round(size / grid), 1)
+            box = BoundingBox(x, y, *size)
+        previous = box
+        absent = draw(st.booleans())
+        identity = rng.normal(size=depth)
+        objects.append(
+            SceneObject(
+                identity / np.linalg.norm(identity),
+                lambda f, box=box, absent=absent: None if absent else box,
+                is_target=i == 0,
+            )
+        )
+    noise = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    spec = SceneSpec(height, width, 2, objects, noise, seed=draw(st.integers(0, 2 ** 16)),
+                     levels=levels)
+    return spec, draw(st.integers(0, 1))
+
+
+class TestFlatRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(render_cases())
+    def test_bitwise_equal_to_per_level_renderer(self, case):
+        spec, frame = case
+        pyr, boxes, masks = render_frame(spec, frame)
+        ref_pyr, ref_boxes, ref_masks = render_frame_per_level(spec, frame)
+        assert boxes == ref_boxes and masks == ref_masks
+        assert [fm.level for fm in pyr.levels] == [fm.level for fm in ref_pyr.levels]
+        for fm, ref in zip(pyr.levels, ref_pyr.levels):
+            assert fm.data.shape == ref.data.shape
+            assert fm.data.tobytes() == ref.data.tobytes()
+
+    def test_cached_centres_read_only_and_unchanged(self):
+        spec = distractor_scene(1)
+        key = (spec.image_height, spec.image_width, tuple(spec.levels))
+        shapes, cy, cx = _cell_centres(*key)
+        before = cy.copy(), cx.copy()
+        render_frame(spec, 0)
+        assert _cell_centres(*key)[1] is cy
+        assert not cy.flags.writeable and not cx.flags.writeable
+        with pytest.raises(ValueError):
+            cy[0] = -1.0
+        assert np.array_equal(cy, before[0]) and np.array_equal(cx, before[1])
+        assert cy.size == sum(h * w for h, w in shapes)
 
 
 class TestSceneSpecValidation:

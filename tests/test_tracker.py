@@ -111,6 +111,13 @@ class TestStep:
         assert selected.confidence == 0.0
         assert state.previous.confidence == 0.0
 
+    def test_empty_first_frame_selects_placeholder_box(self):
+        placeholder = Detection(BoundingBox(0, 0, 1, 1), 0.0)
+        state, selected, present = step(TrackerState(), [], TrackerConfig())
+        assert not present
+        assert selected == placeholder
+        assert state == TrackerState(previous=placeholder)
+
     def test_pure_state_transition(self):
         config = TrackerConfig()
         state = TrackerState(previous=det(0, 0.5), smoothing_active=False, consecutive_smooth=3)
