@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -39,15 +40,44 @@ def _parse_box(text: str) -> BoundingBox:
         raise UsageError(f"bad box {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1, so the error names the flag."""
+def _int_at_least(text: str, least: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1, so the error names the flag."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for a count of at least 0."""
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
+def _float_where(text: str, accept, kind: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+    return value
+
+
+def _unit_fraction(text: str) -> float:
+    """argparse type for a threshold: a finite number in [0, 1]."""
+    return _float_where(text, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a step: a finite number above 0."""
+    return _float_where(text, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
 def scene_from_json(doc: dict) -> SceneSpec:
@@ -257,11 +287,19 @@ def cmd_track(args) -> int:
     return 0
 
 
+def _aligned_table(args) -> metrics.AlignedTable:
+    """The --pred track joined to the --gt groundtruth, both read as columns."""
+    track = container.read_track_columns(args.pred)
+    gt = container.read_groundtruth_columns(args.gt)
+    try:
+        return metrics.align(track, gt)
+    except InvalidInputError as exc:  # a groundtruth frame the track lacks
+        raise ContainerError(f"{args.pred}: {exc} of {args.gt}") from exc
+
+
 def cmd_eval(args) -> int:
-    track = container.read_tracks(args.pred)
-    gt = container.read_groundtruth(args.gt)
     if args.protocol == "got":
-        ao, sr = metrics.average_overlap(track, gt, args.sr_threshold)
+        ao, sr = _aligned_table(args).average_overlap(args.sr_threshold)
         report = {
             "protocol": "got",
             "ao": ao,
@@ -269,8 +307,9 @@ def cmd_eval(args) -> int:
             "sr_threshold": args.sr_threshold,
         }
     elif args.protocol == "oxuva":
-        tpr, tnr = metrics.oxuva_rates(track, gt, args.theta, args.iou_threshold)
-        fpr, tpr_curve = metrics.roc_curve(track, gt, args.iou_threshold)
+        table = _aligned_table(args)
+        tpr, tnr = table.oxuva_rates(args.theta, args.iou_threshold)
+        fpr, tpr_curve = table.roc_curve(args.iou_threshold)
         report = {
             "protocol": "oxuva",
             "tpr": tpr,
@@ -282,7 +321,7 @@ def cmd_eval(args) -> int:
             "curve": {"fpr": list(fpr), "tpr": list(tpr_curve)},
         }
     elif args.protocol == "ltb35":
-        p, r, f, theta = metrics.longterm_prf(track, gt)
+        p, r, f, theta = _aligned_table(args).longterm_prf()
         report = {
             "protocol": "ltb35",
             "precision": p,
@@ -291,6 +330,8 @@ def cmd_eval(args) -> int:
             "theta": theta,
         }
     else:  # davis
+        track = container.read_tracks(args.pred)
+        gt = container.read_groundtruth(args.gt)
         pred_masks = [e.detection.mask for e in track]
         gt_masks = [g.mask for g in gt]
         if any(m is None for m in pred_masks) or any(m is None for m in gt_masks):
@@ -384,17 +425,17 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="groundtruth JSONL")
     p.add_argument("--protocol", choices=["got", "oxuva", "ltb35", "davis"], required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--theta", type=float, default=0.3)
-    p.add_argument("--sr-threshold", type=float, default=0.5)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
+    p.add_argument("--theta", type=_unit_fraction, default=0.3)
+    p.add_argument("--sr-threshold", type=_unit_fraction, default=0.5)
+    p.add_argument("--iou-threshold", type=_unit_fraction, default=0.5)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="check the ridge backward pass vs finite differences")
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--negatives", type=int, default=32)
+    p.add_argument("--dim", type=_positive_int, default=16)
+    p.add_argument("--negatives", type=_nonnegative_int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=_positive_float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 

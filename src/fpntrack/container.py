@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import ContainerError, InvalidInputError
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask
 from .tracker import Detection, Track, TrackEntry
-from .metrics import GroundtruthFrame, GroundtruthSequence
+from .metrics import GroundtruthColumns, GroundtruthFrame, GroundtruthSequence, TrackColumns
 
 CONTAINER_VERSION = 1
 
@@ -130,10 +132,14 @@ def read_container(path) -> FeaturePyramid:
     return _decode(header_line[:-1], payload)
 
 
-def _box_from_list(vals) -> BoundingBox:
+def _box_values(vals) -> list[float]:
     if not isinstance(vals, (list, tuple)) or len(vals) != 4:
         raise ContainerError(f"box must be [x, y, w, h], got {vals!r}")
-    return BoundingBox(*[float(v) for v in vals])
+    return [float(v) for v in vals]
+
+
+def _box_from_list(vals) -> BoundingBox:
+    return BoundingBox(*_box_values(vals))
 
 
 def _mask_to_json(mask: Mask) -> dict:
@@ -298,35 +304,215 @@ def _json_list_records(path, records, what: str):
         yield i, rec
 
 
-def _jsonl_records(path, what: str):
-    """Yield (line number, record) for each non-blank line; records must be JSON objects."""
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+_MISSING = object()
+_NO_BOX = [0.0, 0.0, 1.0, 1.0]
+
+
+def _jsonl_objects(path, what: str):
+    """A JSONL file's lines, the JSON objects on them, and the first bad line's error.
+
+    Returns (lines, records, error): the records of the non-blank lines
+    before the first one that is not one JSON object, and a ContainerError
+    naming that line, or None.
+
+    When every line holds exactly one '{' and one '}', the lines are parsed
+    as one JSON list. If that list holds one object per line, each object is
+    its own line: n objects need all n '{' and all n '}', so no brace sits in
+    a string and no object nests another; the braces then alternate, and the
+    i-th pair is the one on line i. Otherwise the lines are parsed one at a
+    time, which also finds the first bad line.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ContainerError(f"{path}: not UTF-8 text: {exc}") from exc
+    body = list(filter(str.strip, lines))
+    joined = ",\n".join(body)
+    # as many braces of each kind as lines, and each line holds both
+    if (joined.count("{") == len(body) == joined.count("}")
+            and all(map(operator.contains, body, repeat("{")))
+            and all(map(operator.contains, body, repeat("}")))):
+        try:
+            records = json.loads(f"[{joined}]")
+        except (ValueError, RecursionError):
+            records = None
+        if (records is not None and len(records) == len(body)
+                and all(map(isinstance, records, repeat(dict)))):
+            return lines, records, None
+    records = []
+    for line in body:
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ContainerError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise ContainerError(f"{path}:{lineno}: {what} is not a JSON object: {line.strip()}")
-        yield lineno, rec
+        except (ValueError, RecursionError) as exc:
+            error = f"malformed {what}: {exc}"
+        else:
+            if isinstance(rec, dict):
+                records.append(rec)
+                continue
+            error = f"{what} is not a JSON object: {line.strip()}"
+        return lines, records, _line_error(lines, path, len(records), error)
+    return lines, records, None
+
+
+def _line_error(lines: list[str], path, index: int, message: str) -> ContainerError:
+    """A ContainerError naming the index-th non-blank line as <path>:<line>."""
+    lineno = [i for i, line in enumerate(lines, start=1) if line.strip()][index]
+    return ContainerError(f"{path}:{lineno}: {message}")
+
+
+class _FirstBad:
+    """The first bad record of a file: the lowest index, then the first reported."""
+
+    def __init__(self):
+        self.index: Optional[int] = None
+        self.message = ""
+
+    def report(self, index: int, message: str) -> None:
+        if self.index is None or index < self.index:
+            self.index, self.message = index, message
+
+    def report_rows(self, bad: np.ndarray, message) -> None:
+        """Report the first True row of `bad`, with message(row)."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.report(row, message(row))
+
+
+def _field(records: list[dict], key: str, what: str, bad: _FirstBad) -> list:
+    """Every record's `key`; _MISSING, reported, where a record lacks it."""
+    try:
+        return [rec[key] for rec in records]
+    except KeyError:
+        values = [rec.get(key, _MISSING) for rec in records]
+        bad.report(values.index(_MISSING), f"{what} missing field {key!r}")
+        return values
+
+
+def _column(values: list, convert, dtype, kinds: str, shape: tuple, bad: _FirstBad,
+            what: str) -> np.ndarray:
+    """`convert` of each value, as one array; the first value it refuses is reported.
+
+    Values that numpy reads into an array of one of the dtype `kinds` and of
+    the right shape take one vectorized cast. Anything else (strings, nulls,
+    integers beyond int64, wrong shapes) is converted value by value, as far
+    as the first failure; the rows from there on stay 0.
+    """
+    try:
+        arr = np.array(values)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is not None and arr.dtype.kind in kinds and arr.shape == (len(values), *shape):
+        return arr.astype(dtype)
+    out = np.zeros((len(values), *shape), dtype=dtype)
+    for i, value in enumerate(values):
+        try:
+            out[i] = convert(value)
+        except (TypeError, ValueError, OverflowError, ContainerError) as exc:
+            bad.report(i, f"bad {what}: {exc}")
+            break
+    return out
+
+
+def _frame_value(value) -> int:
+    frame = int(value)
+    if not -(2**63) <= frame < 2**63:
+        raise ContainerError(f"frame {frame} outside the int64 range")
+    return frame
+
+
+def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
+    """(N, 4) float64 boxes, each [x, y, w, h] finite with w, h > 0."""
+    box = _column(values, _box_values, np.float64, "fiub", (4,), bad, what)
+    finite = np.isfinite(box).all(axis=1)
+    bad.report_rows(~finite, lambda i: f"bad {what}: non-finite box {tuple(box[i].tolist())}")
+    w, h = box[:, 2], box[:, 3]
+    bad.report_rows(
+        finite & ((w <= 0) | (h <= 0)),
+        lambda i: f"bad {what}: degenerate box: w={w[i]!r}, h={h[i]!r}",
+    )
+    return box
+
+
+def _frames(values: list, bad: _FirstBad, what: str) -> np.ndarray:
+    """(N,) int64 frames."""
+    return _column(values, _frame_value, np.int64, "ib", (), bad, what)
+
+
+def _check_increasing(frame: np.ndarray, bad: _FirstBad, what: str) -> None:
+    bad.report_rows(
+        np.concatenate(([False], frame[1:] <= frame[:-1])),
+        lambda i: f"bad {what}: frame {frame[i]} does not follow frame {frame[i - 1]}; "
+                  "frames must be strictly increasing",
+    )
+
+
+def _flags(values: list) -> np.ndarray:
+    """(N,) bool: the truth value of each JSON value."""
+    return np.fromiter(map(bool, values), dtype=bool, count=len(values))
+
+
+def _masks(records: list[dict], bad: _FirstBad, what: str) -> list[Optional[Mask]]:
+    """Each record's mask, None where it has none."""
+    objs = list(map(operator.methodcaller("get", "mask"), records))
+    masks: list[Optional[Mask]] = [None] * len(records)
+    for i in compress(range(len(objs)), objs):
+        try:
+            masks[i] = _mask_from_json(objs[i])
+        except (ContainerError, OverflowError) as exc:
+            bad.report(i, f"bad {what}: {exc}")
+            break
+    return masks
+
+
+def _raise_first_bad(lines, path, bad: _FirstBad, parse_error) -> None:
+    """Raise for the first bad record; a bad record precedes the unparsed line."""
+    if bad.index is not None:
+        raise _line_error(lines, path, bad.index, bad.message)
+    if parse_error is not None:
+        raise parse_error
+
+
+def _track_records(path) -> tuple[TrackColumns, list[Optional[Mask]]]:
+    lines, records, parse_error = _jsonl_objects(path, "track record")
+    bad = _FirstBad()
+    boxes, confidences, frames, present = (
+        _field(records, key, "track record", bad)
+        for key in ("box", "confidence", "frame", "present")
+    )
+    masks = _masks(records, bad, "track record")
+    box = _boxes(boxes, bad, "track record")
+    confidence = _column(confidences, float, np.float64, "fiub", (), bad, "track record")
+    bad.report_rows(
+        ~((confidence >= 0.0) & (confidence <= 1.0)),
+        lambda i: f"bad track record: confidence {confidence[i]!r} outside [0, 1]",
+    )
+    frame = _frames(frames, bad, "track record")
+    _check_increasing(frame, bad, "track record")
+    _raise_first_bad(lines, path, bad, parse_error)
+    return TrackColumns(frame, box, confidence, _flags(present)), masks
+
+
+def read_track_columns(path) -> TrackColumns:
+    """A tracks JSONL file as validated columns.
+
+    Each non-blank line is one JSON object with `frame`, `box`, `confidence`
+    and `present`. Boxes must be finite with w, h > 0, confidences in [0, 1]
+    and frames strictly increasing. The first bad record is named as
+    <path>:<line> in a ContainerError.
+    """
+    return _track_records(path)[0]
 
 
 def read_tracks(path) -> Track:
-    entries = []
-    for lineno, rec in _jsonl_records(path, "track record"):
-        try:
-            box, confidence, frame, present = rec["box"], rec["confidence"], rec["frame"], rec["present"]
-        except KeyError as exc:
-            raise ContainerError(f"{path}:{lineno}: track record missing field {exc}") from exc
-        try:
-            mask = _mask_from_json(rec["mask"]) if rec.get("mask") else None
-            det = Detection(box=_box_from_list(box), confidence=float(confidence), mask=mask)
-            frame = int(frame)
-        except (TypeError, ValueError, ContainerError, InvalidInputError) as exc:
-            raise ContainerError(f"{path}:{lineno}: bad track record: {exc}") from exc
-        entries.append(TrackEntry(frame, det, bool(present)))
-    return Track(entries)
+    """A tracks JSONL file as a Track, built from `read_track_columns`' checks."""
+    cols, masks = _track_records(path)
+    return Track([
+        TrackEntry(frame, Detection(BoundingBox(*box), confidence, mask), present)
+        for frame, box, confidence, present, mask in zip(
+            cols.frame.tolist(), cols.box.tolist(), cols.confidence.tolist(),
+            cols.present.tolist(), masks,
+        )
+    ])
 
 
 def write_groundtruth(gt: GroundtruthSequence, path) -> None:
@@ -342,24 +528,48 @@ def write_groundtruth(gt: GroundtruthSequence, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _groundtruth_records(path) -> tuple[GroundtruthColumns, list[Optional[Mask]]]:
+    lines, records, parse_error = _jsonl_objects(path, "groundtruth")
+    bad = _FirstBad()
+    frames, present = (_field(records, key, "groundtruth record", bad)
+                       for key in ("frame", "present"))
+    frame = _frames(frames, bad, "groundtruth")
+    present = _flags(present)
+    boxes = list(map(operator.methodcaller("get", "box"), records))
+    has_box = _flags(boxes)
+    box = _boxes([b or _NO_BOX for b in boxes], bad, "groundtruth")
+    box[~has_box] = 0.0
+    masks = _masks(records, bad, "groundtruth")
+    bad.report_rows(
+        present & ~has_box,
+        lambda i: f"bad groundtruth: frame {frame[i]}: present groundtruth needs a box",
+    )
+    _check_increasing(frame, bad, "groundtruth")
+    _raise_first_bad(lines, path, bad, parse_error)
+    return GroundtruthColumns(frame, present, has_box, box), masks
+
+
+def read_groundtruth_columns(path) -> GroundtruthColumns:
+    """A groundtruth JSONL file as validated columns.
+
+    Each non-blank line is one JSON object with `frame` and `present`, and a
+    `box` where the target is present. Boxes must be finite with w, h > 0
+    and frames strictly increasing. The first bad record is named as
+    <path>:<line> in a ContainerError.
+    """
+    return _groundtruth_records(path)[0]
+
+
 def read_groundtruth(path) -> GroundtruthSequence:
-    frames = []
-    for lineno, rec in _jsonl_records(path, "groundtruth"):
-        try:
-            frame, present = rec["frame"], rec["present"]
-        except KeyError as exc:
-            raise ContainerError(f"{path}:{lineno}: groundtruth record missing field {exc}") from exc
-        try:
-            gt = GroundtruthFrame(
-                frame=int(frame),
-                present=bool(present),
-                box=_box_from_list(rec["box"]) if rec.get("box") else None,
-                mask=_mask_from_json(rec["mask"]) if rec.get("mask") else None,
-            )
-        except (TypeError, ValueError, ContainerError, InvalidInputError) as exc:
-            raise ContainerError(f"{path}:{lineno}: bad groundtruth: {exc}") from exc
-        frames.append(gt)
-    return GroundtruthSequence(frames)
+    """A groundtruth JSONL file as a GroundtruthSequence, from the same checks."""
+    cols, masks = _groundtruth_records(path)
+    return GroundtruthSequence([
+        GroundtruthFrame(frame, present, BoundingBox(*box) if has_box else None, mask)
+        for frame, present, has_box, box, mask in zip(
+            cols.frame.tolist(), cols.present.tolist(), cols.has_box.tolist(),
+            cols.box.tolist(), masks,
+        )
+    ])
 
 
 def _round_floats(obj, sig: int = 6):

@@ -1,7 +1,12 @@
 """Benchmark metrics: AO/SR, TPR/TNR/GM with ROC-AUC, long-term P/R/F, J stats.
 
-All functions take a predicted track (entries with frame, detection,
-present flag) and a groundtruth sequence aligned by frame index.
+The box protocols (GOT, OxUvA, LTB35) read one `AlignedTable`: a track
+joined to its groundtruth by frame, with one row of confidence, overlap and
+presence per groundtruth frame. `align` builds it from columns
+(`TrackColumns`, `GroundtruthColumns`), which `container` reads straight
+from JSONL. The public functions taking a predicted track (entries with
+frame, detection, present flag) and a `GroundtruthSequence` are thin
+wrappers that build the same table. `davis_j` takes per-frame masks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from .pyramid import BoundingBox, Mask, box_iou, mask_iou
 __all__ = [
     "GroundtruthFrame",
     "GroundtruthSequence",
+    "TrackColumns",
+    "GroundtruthColumns",
+    "AlignedTable",
+    "align",
+    "aligned_table",
     "box_iou",
     "mask_iou",
     "average_overlap",
@@ -60,29 +70,182 @@ class GroundtruthSequence:
         return len(self.frames)
 
 
-def _aligned(track, gt: GroundtruthSequence):
-    pred = {e.frame: e for e in track}
-    pairs = []
-    for g in gt:
-        if g.frame not in pred:
-            raise InvalidInputError(f"track is missing frame {g.frame}")
-        pairs.append((pred[g.frame], g))
-    return pairs
+@dataclass(frozen=True)
+class TrackColumns:
+    """A track as columns, one row per entry in entry order."""
+
+    frame: np.ndarray  # (N,) int64
+    box: np.ndarray  # (N, 4) float64, [x, y, w, h]
+    confidence: np.ndarray  # (N,) float64
+    present: np.ndarray  # (N,) bool
+
+    @classmethod
+    def from_track(cls, track) -> "TrackColumns":
+        entries = list(track)
+        return cls(
+            np.array([e.frame for e in entries], dtype=np.int64),
+            np.array([e.detection.box.as_list() for e in entries], dtype=np.float64).reshape(-1, 4),
+            np.array([e.detection.confidence for e in entries], dtype=np.float64),
+            np.array([e.present for e in entries], dtype=bool),
+        )
 
 
-def _frame_overlap(entry, g: GroundtruthFrame) -> float:
-    if g.box is None:
-        return 0.0
-    return box_iou(entry.detection.box, g.box)
+@dataclass(frozen=True)
+class GroundtruthColumns:
+    """A groundtruth sequence as columns; `box` rows are zero where `has_box` is False."""
+
+    frame: np.ndarray  # (M,) int64
+    present: np.ndarray  # (M,) bool
+    has_box: np.ndarray  # (M,) bool
+    box: np.ndarray  # (M, 4) float64
+
+    @classmethod
+    def from_groundtruth(cls, gt) -> "GroundtruthColumns":
+        frames = list(gt)
+        return cls(
+            np.array([g.frame for g in frames], dtype=np.int64),
+            np.array([g.present for g in frames], dtype=bool),
+            np.array([g.box is not None for g in frames], dtype=bool),
+            np.array(
+                [g.box.as_list() if g.box is not None else [0.0] * 4 for g in frames],
+                dtype=np.float64,
+            ).reshape(-1, 4),
+        )
 
 
-def _aligned_arrays(track, gt: GroundtruthSequence):
-    """(confidence, overlap, gt-present) arrays with one element per groundtruth frame."""
-    pairs = _aligned(track, gt)
-    confidence = np.array([e.detection.confidence for e, _ in pairs], dtype=float)
-    overlap = np.array([_frame_overlap(e, g) for e, g in pairs], dtype=float)
-    present = np.array([g.present for _, g in pairs], dtype=bool)
-    return confidence, overlap, present
+def _box_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`box_iou` of each row pair of two (N, 4) box arrays, in its operation order."""
+    iw = np.minimum(a[:, 0] + a[:, 2], b[:, 0] + b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 1] + a[:, 3], b[:, 1] + b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = iw * ih
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        iou = np.minimum(inter / (a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter), 1.0)
+    return np.where((iw > 0) & (ih > 0), iou, 0.0)
+
+
+@dataclass(frozen=True)
+class AlignedTable:
+    """A track joined to its groundtruth, one row per groundtruth frame.
+
+    `confidence` and `overlap` are the track's confidence and box IoU on each
+    groundtruth frame (overlap 0 where the groundtruth has no box), `present`
+    the groundtruth's presence. `track_confidence` holds every confidence in
+    the track, frames the groundtruth lacks included: the ROC thresholds.
+    """
+
+    confidence: np.ndarray
+    overlap: np.ndarray
+    present: np.ndarray
+    track_confidence: np.ndarray
+
+    def average_overlap(self, sr_threshold: float = 0.5) -> tuple[float, float]:
+        """GOT-style (AO, SR): mean overlap and success rate over gt-present frames."""
+        overlaps = self.overlap[self.present]
+        if not overlaps.size:
+            raise UndefinedMetricError("no groundtruth-present frames")
+        return float(np.mean(overlaps)), float(np.mean(overlaps > sr_threshold))
+
+    def oxuva_rates(self, theta: float, iou_threshold: float = 0.5) -> tuple[float, float]:
+        """(TPR, TNR) at confidence threshold theta.
+
+        A frame is predicted present when confidence >= theta. TPR additionally
+        requires localization (overlap above iou_threshold).
+        """
+        pos = int(np.count_nonzero(self.present))
+        neg = self.present.size - pos
+        _check_rates_defined(pos, neg)
+        predicted = self.confidence >= theta
+        tp = np.count_nonzero(predicted & self.present & (self.overlap > iou_threshold))
+        tn = np.count_nonzero(~predicted & ~self.present)
+        return int(tp) / pos, int(tn) / neg
+
+    def roc_curve(self, iou_threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+        """(FPR, TPR) points, one per confidence threshold, sorted as (FPR, TPR) pairs.
+
+        The thresholds are 0, every distinct value of `track_confidence` and
+        one just above its maximum + 1. At each threshold theta the rates are
+        `oxuva_rates(theta, iou_threshold)`. Equal points are kept, so a
+        confidence of exactly 0 gives two of them.
+
+        Costs O(N log N): the table is sorted once, and the counts at every
+        threshold come from binary searches.
+        """
+        present = self.present
+        pos = int(np.count_nonzero(present))
+        neg = present.size - pos
+        _check_rates_defined(pos, neg)
+        distinct = _distinct_sorted(self.track_confidence)
+        top = distinct[-1] if distinct.size else 0.0
+        thetas = np.concatenate(([0.0], distinct, [np.nextafter(top + 1, np.inf)]))
+        # confidences of the frames that count as true positives when predicted
+        # present, and of the absent frames; both ascending
+        hits = np.sort(self.confidence[present & (self.overlap > iou_threshold)])
+        absent = np.sort(self.confidence[~present])
+        tp = hits.size - np.searchsorted(hits, thetas, side="left")
+        tn = np.searchsorted(absent, thetas, side="left")
+        tpr = tp / pos
+        fpr = 1.0 - tn / neg
+        order = np.lexsort((tpr, fpr))
+        return fpr[order], tpr[order]
+
+    def longterm_prf(self) -> tuple[float, float, float, float]:
+        """Long-term (P, R, F, theta) at the confidence threshold maximizing F.
+
+        The thresholds are the distinct confidences of the rows, and a frame
+        is predicted present when confidence >= theta. P(theta) averages
+        overlap over every frame predicted present, absent frames included
+        (they score their groundtruth box's overlap if they carry one, else
+        zero). R(theta) averages overlap over gt-present frames, scoring zero
+        where the tracker reports absence. Of the thresholds that attain the
+        maximal F, the smallest is returned.
+
+        Costs O(N log N): the rows are sorted by confidence once, and P and R
+        at every threshold come from cumulative sums.
+        """
+        confidence, overlap, present = self.confidence, self.overlap, self.present
+        n_present = int(np.count_nonzero(present))
+        if n_present == 0:
+            raise UndefinedMetricError("no groundtruth-present frames")
+        order = np.argsort(-confidence)
+        c = confidence[order]
+        sum_pred = np.cumsum(overlap[order])
+        sum_present = np.cumsum(np.where(present, overlap, 0.0)[order])
+        # the last index of each run of equal confidences: predicting present at
+        # that confidence predicts the whole prefix up to there
+        ends = np.flatnonzero(np.append(c[1:] != c[:-1], True))[::-1]
+        p = sum_pred[ends] / (ends + 1)
+        r = sum_present[ends] / n_present
+        # p + r == 0 only where p == r == 0, so F is 0 there as in `f_measure`
+        f = 2 * p * r / np.where(p + r == 0, 1.0, p + r)
+        best = int(np.argmax(f))
+        return float(p[best]), float(r[best]), float(f[best]), float(c[ends[best]])
+
+
+def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:
+    """Join a track to its groundtruth on frame with one binary search.
+
+    Where the track repeats a frame, its last entry counts. Raises
+    InvalidInputError naming the first groundtruth frame the track lacks.
+    """
+    frame = track.frame
+    order = None
+    if np.any(frame[1:] <= frame[:-1]):
+        order = np.argsort(frame, kind="stable")
+        frame = frame[order]
+    row = np.searchsorted(frame, gt.frame, side="right") - 1
+    found = row >= 0
+    found[found] = frame[row[found]] == gt.frame[found]
+    if not found.all():
+        raise InvalidInputError(f"track is missing frame {int(gt.frame[np.argmin(found)])}")
+    if order is not None:
+        row = order[row]
+    overlap = np.where(gt.has_box, _box_iou_rows(track.box[row], gt.box), 0.0)
+    return AlignedTable(track.confidence[row], overlap, gt.present, track.confidence)
+
+
+def aligned_table(track, gt: GroundtruthSequence) -> AlignedTable:
+    """`align` on a track of entries and a `GroundtruthSequence`."""
+    return align(TrackColumns.from_track(track), GroundtruthColumns.from_groundtruth(gt))
 
 
 def _distinct_sorted(values) -> np.ndarray:
@@ -105,38 +268,15 @@ def _check_rates_defined(pos: int, neg: int) -> None:
 
 
 def average_overlap(track, gt: GroundtruthSequence, sr_threshold: float = 0.5) -> tuple[float, float]:
-    """GOT-style (AO, SR): mean overlap and success rate over gt-present frames."""
-    overlaps = [
-        _frame_overlap(e, g) for e, g in _aligned(track, gt) if g.present
-    ]
-    if not overlaps:
-        raise UndefinedMetricError("no groundtruth-present frames")
-    ao = float(np.mean(overlaps))
-    sr = float(np.mean([o > sr_threshold for o in overlaps]))
-    return ao, sr
+    """`AlignedTable.average_overlap` of the track aligned to `gt`."""
+    return aligned_table(track, gt).average_overlap(sr_threshold)
 
 
 def oxuva_rates(
     track, gt: GroundtruthSequence, theta: float, iou_threshold: float = 0.5
 ) -> tuple[float, float]:
-    """(TPR, TNR) at confidence threshold theta.
-
-    A frame is predicted present when confidence >= theta. TPR additionally
-    requires localization (overlap above iou_threshold).
-    """
-    tp = pos = tn = neg = 0
-    for e, g in _aligned(track, gt):
-        predicted_present = e.detection.confidence >= theta
-        if g.present:
-            pos += 1
-            if predicted_present and _frame_overlap(e, g) > iou_threshold:
-                tp += 1
-        else:
-            neg += 1
-            if not predicted_present:
-                tn += 1
-    _check_rates_defined(pos, neg)
-    return tp / pos, tn / neg
+    """`AlignedTable.oxuva_rates` of the track aligned to `gt`."""
+    return aligned_table(track, gt).oxuva_rates(theta, iou_threshold)
 
 
 def geometric_mean(tpr: float, tnr: float) -> float:
@@ -148,34 +288,8 @@ def geometric_mean(tpr: float, tnr: float) -> float:
 def roc_curve(
     track, gt: GroundtruthSequence, iou_threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(FPR, TPR) points, one per confidence threshold, sorted as (FPR, TPR) pairs.
-
-    The thresholds are 0, every distinct confidence in `track` (frames the
-    groundtruth lacks included) and one just above max(confidence) + 1. At
-    each threshold theta the rates are `oxuva_rates(track, gt, theta,
-    iou_threshold)`: a frame is predicted present when confidence >= theta.
-    Equal points are kept, so a confidence of exactly 0 gives two of them.
-
-    Costs O(N log N) in the track length: the track is aligned and sorted
-    once, and the counts at every threshold come from binary searches.
-    """
-    confidence, overlap, present = _aligned_arrays(track, gt)
-    pos = int(present.sum())
-    neg = present.size - pos
-    _check_rates_defined(pos, neg)
-    distinct = _distinct_sorted([e.detection.confidence for e in track])
-    top = distinct[-1] if distinct.size else 0.0
-    thetas = np.concatenate(([0.0], distinct, [np.nextafter(top + 1, np.inf)]))
-    # confidences of the frames that count as true positives when predicted
-    # present, and of the absent frames; both ascending
-    hits = np.sort(confidence[present & (overlap > iou_threshold)])
-    absent = np.sort(confidence[~present])
-    tp = hits.size - np.searchsorted(hits, thetas, side="left")
-    tn = np.searchsorted(absent, thetas, side="left")
-    tpr = tp / pos
-    fpr = 1.0 - tn / neg
-    order = np.lexsort((tpr, fpr))
-    return fpr[order], tpr[order]
+    """`AlignedTable.roc_curve` of the track aligned to `gt`."""
+    return aligned_table(track, gt).roc_curve(iou_threshold)
 
 
 def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
@@ -200,36 +314,8 @@ def f_measure(p: float, r: float) -> float:
 
 
 def longterm_prf(track, gt: GroundtruthSequence) -> tuple[float, float, float, float]:
-    """Long-term (P, R, F, theta) at the confidence threshold maximizing F.
-
-    The thresholds are the distinct confidences of the frames aligned to the
-    groundtruth, and a frame is predicted present when confidence >= theta.
-    P(theta) averages overlap over every frame predicted present, absent
-    frames included (they score their groundtruth box's overlap if they carry
-    one, else zero). R(theta) averages overlap over gt-present frames, scoring
-    zero where the tracker reports absence. Of the thresholds that attain the
-    maximal F, the smallest is returned.
-
-    Costs O(N log N) in the track length: the frames are sorted by confidence
-    once, and P and R at every threshold come from cumulative sums.
-    """
-    confidence, overlap, present = _aligned_arrays(track, gt)
-    n_present = int(present.sum())
-    if n_present == 0:
-        raise UndefinedMetricError("no groundtruth-present frames")
-    order = np.argsort(-confidence)
-    c = confidence[order]
-    sum_pred = np.cumsum(overlap[order])
-    sum_present = np.cumsum(np.where(present, overlap, 0.0)[order])
-    # the last index of each run of equal confidences: predicting present at
-    # that confidence predicts the whole prefix up to there
-    ends = np.flatnonzero(np.append(c[1:] != c[:-1], True))[::-1]
-    p = sum_pred[ends] / (ends + 1)
-    r = sum_present[ends] / n_present
-    # p + r == 0 only where p == r == 0, so F is 0 there as in `f_measure`
-    f = 2 * p * r / np.where(p + r == 0, 1.0, p + r)
-    best = int(np.argmax(f))
-    return float(p[best]), float(r[best]), float(f[best]), float(c[ends[best]])
+    """`AlignedTable.longterm_prf` of the track aligned to `gt`."""
+    return aligned_table(track, gt).longterm_prf()
 
 
 def davis_j(

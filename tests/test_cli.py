@@ -347,6 +347,18 @@ class TestMalformedJsonl:
         assert rc == 1
         assert "gt.jsonl:2:" in err and "bad groundtruth" in err
 
+    def test_track_frame_that_does_not_increase_names_its_line(self, tmp_path, capsys):
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=0), dict(self.GT, frame=1))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "tracks.jsonl:2:" in err and "strictly increasing" in err
+
+    def test_groundtruth_frame_missing_from_track_names_pred_file(self, tmp_path, capsys):
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=1), dict(self.GT, frame=3))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{tmp_path / 'tracks.jsonl'}: track is missing frame 3" in err
+
 
 class TestMalformedSequence:
     """`track` on a synthesized sequence with one record broken: exit 1, file and index named."""
@@ -466,6 +478,41 @@ class TestGradcheck:
         rc = main(["gradcheck", "--dim", "6", "--negatives", "8", "--step", "10.0"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestValueFlags:
+    """Numeric flag values out of range end as usage errors that name the flag and value."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--sr-threshold", "nan"), ("--theta", "-3"), ("--iou-threshold", "2"),
+         ("--theta", "inf"), ("--sr-threshold", "half")],
+    )
+    def test_eval_threshold_outside_unit_interval(self, tmp_path, capsys, flag, value):
+        pred, gt = tmp_path / "tracks.jsonl", tmp_path / "gt.jsonl"
+        pred.write_text(json.dumps(TestMalformedJsonl.TRACK) + "\n")
+        gt.write_text(json.dumps(TestMalformedJsonl.GT) + "\n")
+        out = tmp_path / "report.json"
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--protocol", "got",
+                   "--out", str(out), f"{flag}={value}"])
+        assert rc == 1
+        assert f"argument {flag}: must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        [("--dim", "0", "a positive integer"),
+         ("--negatives", "-5", "a non-negative integer"),
+         ("--step", "0", "a positive finite number"),
+         ("--step", "nan", "a positive finite number")],
+    )
+    def test_gradcheck_value_names_flag(self, capsys, flag, value, kind):
+        assert main(["gradcheck", f"{flag}={value}"]) == 1
+        assert f"argument {flag}: must be {kind}, got '{value}'" in capsys.readouterr().err
+
+    def test_gradcheck_accepts_zero_negatives(self, capsys):
+        assert main(["gradcheck", "--dim", "4", "--negatives", "0"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestCountFlags:

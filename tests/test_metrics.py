@@ -6,8 +6,7 @@ from fpntrack.errors import InvalidInputError, UndefinedMetricError
 from fpntrack.metrics import (
     GroundtruthFrame,
     GroundtruthSequence,
-    _aligned,
-    _frame_overlap,
+    aligned_table,
     average_overlap,
     box_iou,
     davis_j,
@@ -320,6 +319,60 @@ class TestLongtermPrf:
             assert f >= f_measure(op, orr) - 1e-12
 
 
+def _aligned(track, gt):
+    """Reference alignment: (entry, groundtruth frame) pairs, the last entry of a frame winning."""
+    pred = {e.frame: e for e in track}
+    pairs = []
+    for g in gt:
+        if g.frame not in pred:
+            raise InvalidInputError(f"track is missing frame {g.frame}")
+        pairs.append((pred[g.frame], g))
+    return pairs
+
+
+def _frame_overlap(entry, g):
+    if g.box is None:
+        return 0.0
+    return box_iou(entry.detection.box, g.box)
+
+
+def loop_aligned_arrays(track, gt):
+    """Reference aligned table: (confidence, overlap, gt-present), one pair at a time."""
+    pairs = _aligned(track, gt)
+    confidence = np.array([e.detection.confidence for e, _ in pairs], dtype=float)
+    overlap = np.array([_frame_overlap(e, g) for e, g in pairs], dtype=float)
+    present = np.array([g.present for _, g in pairs], dtype=bool)
+    return confidence, overlap, present
+
+
+def loop_average_overlap(track, gt, sr_threshold=0.5):
+    overlaps = [_frame_overlap(e, g) for e, g in _aligned(track, gt) if g.present]
+    if not overlaps:
+        raise UndefinedMetricError("no groundtruth-present frames")
+    ao = float(np.mean(overlaps))
+    sr = float(np.mean([o > sr_threshold for o in overlaps]))
+    return ao, sr
+
+
+def loop_oxuva_rates(track, gt, theta, iou_threshold=0.5):
+    tp = pos = tn = neg = 0
+    for e, g in _aligned(track, gt):
+        predicted_present = e.detection.confidence >= theta
+        if g.present:
+            pos += 1
+            if predicted_present and _frame_overlap(e, g) > iou_threshold:
+                tp += 1
+        else:
+            neg += 1
+            if not predicted_present:
+                tn += 1
+    if pos == 0:
+        raise UndefinedMetricError("TPR undefined: no groundtruth-present frames")
+    if neg == 0:
+        raise UndefinedMetricError("TNR undefined: no groundtruth-absent frames")
+    return tp / pos, tn / neg
+
+
 def loop_roc_curve(track, gt, iou_threshold=0.5):
     """Reference ROC: `oxuva_rates` evaluated at every threshold, O(N^2)."""
     confidences = sorted({e.detection.confidence for e in track})
@@ -492,6 +545,71 @@ class TestAgainstLoopOracles:
         gt = make_gt([box, box, None, None])
         track = make_track([(box, 0.9, True), (box, 0.2, True), (box, 0.2, True), (box, 0.2, True)])
         assert longterm_prf(track, gt) == (0.5, 1.0, 2 / 3, 0.2)
+
+
+wide_boxes = st.one_of(
+    boxes_strategy,
+    # integer corners make edges touch, so iw or ih is exactly 0
+    st.builds(BoundingBox, *[st.integers(-4, 4)] * 2, *[st.integers(1, 6)] * 2),
+)
+pair_strategy = st.fixed_dictionaries(
+    {
+        "confidence": confidences_strategy,
+        "pred_box": wide_boxes,
+        "gt_box": wide_boxes,
+        "kind": st.sampled_from([0, 1, 2, 3]),
+    }
+)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestAgainstPairLoops:
+    """The aligned table and the metrics on it are bitwise equal to the per-pair loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(pair_strategy, min_size=0, max_size=40))
+    def test_aligned_table(self, frames):
+        track, gt = build_sequence(frames)
+        table = aligned_table(track, gt)
+        want = loop_aligned_arrays(track, gt)
+        for got, w in zip((table.confidence, table.overlap, table.present), want):
+            assert same_bits(got, w)
+        assert same_bits(table.track_confidence, [e.detection.confidence for e in track])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(pair_strategy, min_size=1, max_size=40),
+           st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), confidences_strategy)
+    def test_average_overlap_and_oxuva_rates(self, frames, threshold, theta):
+        track, gt = build_sequence(frames)
+        for fn, loop, args in [
+            (average_overlap, loop_average_overlap, (threshold,)),
+            (oxuva_rates, loop_oxuva_rates, (theta, threshold)),
+        ]:
+            got, got_exc = raised(fn, track, gt, *args)
+            want, want_exc = raised(loop, track, gt, *args)
+            assert got_exc is want_exc
+            assert got == want and all(same_bits(g, w) for g, w in zip(got or (), want or ()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), confidences_strategy, small_boxes), max_size=12),
+           st.lists(st.one_of(st.none(), small_boxes), min_size=1, max_size=6))
+    def test_unsorted_and_repeated_frames(self, entries, boxes):
+        # a plain list of entries may repeat frames or leave some out
+        track = [TrackEntry(f, Detection(b, c), True) for f, c, b in entries]
+        gt = make_gt(boxes)
+        try:
+            want = loop_aligned_arrays(track, gt)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError, match=str(exc)):
+                aligned_table(track, gt)
+            return
+        table = aligned_table(track, gt)
+        for got, w in zip((table.confidence, table.overlap, table.present), want):
+            assert same_bits(got, w)
 
 
 class TestDavisJ:
