@@ -4,13 +4,15 @@ from .pyramid import (
     BoundingBox,
     FeatureMap,
     FeaturePyramid,
-    LevelAssignConfig,
     Mask,
     assign_level,
     box_iou,
+    cell_centres,
     center_cell,
     extract_template,
+    in_box,
     mask_iou,
+    template_level,
 )
 from .templates import (
     RegressionProblem,

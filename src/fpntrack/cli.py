@@ -19,7 +19,7 @@ import numpy as np
 from . import container, metrics, synth, templates
 from .attention import similarity_pyramid
 from .errors import ContainerError, FpnTrackError, InvalidInputError, UsageError
-from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, extract_template
+from .pyramid import BoundingBox, FeatureMap, FeaturePyramid
 from .synth import SceneObject, SceneSpec, philox
 from .scenarios import correlated_identities, linear_trajectory
 from .tracker import Detection, TrackerConfig, run_track
@@ -80,6 +80,11 @@ def _positive_float(text: str) -> float:
     return _float_where(text, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for lambda or jitter: a finite number of at least 0."""
+    return _float_where(text, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+
+
 def scene_from_json(doc: dict) -> SceneSpec:
     """Build a SceneSpec from its JSON description.
 
@@ -127,7 +132,6 @@ def scene_from_json(doc: dict) -> SceneSpec:
         num_frames=num_frames,
         objects=objects,
         noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        distractor_overlap=overlap,
         seed=seed,
     )
 
@@ -171,7 +175,7 @@ def _template_flags(parser):
         choices=["center", "mean-pos", "mean-diff", "ridge"],
         default="ridge",
     )
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    parser.add_argument("--lambda", dest="lam", type=_nonnegative_float, default=0.1)
     parser.add_argument("--negatives", type=_positive_int, default=256)
     parser.add_argument("--positives", type=_positive_int, default=16)
     parser.add_argument("--seed", type=int, default=0)
@@ -246,13 +250,13 @@ def _frame_detections(mf, pyramid, template) -> list[Detection]:
     """
     if pyramid is None:
         pyramid = container.read_container(mf.pyramid)
-    detections: list[Detection] = []
-    if mf.candidates is not None:
-        for box, conf in container.load_candidates(mf.candidates):
-            if conf is None:
-                conf = synth.cosine_confidence(extract_template(pyramid, box), template.values)
-            detections.append(Detection(box=box, confidence=conf))
-    return detections
+    candidates = [] if mf.candidates is None else container.load_candidates(mf.candidates)
+    unscored = [box for box, conf in candidates if conf is None]
+    scored = iter(
+        synth.score_candidates(unscored, *synth.candidate_features(pyramid, unscored), template)
+    )
+    return [next(scored) if conf is None else Detection(box=box, confidence=conf)
+            for box, conf in candidates]
 
 
 def cmd_track(args) -> int:
@@ -380,14 +384,16 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 2
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The parser, built on the first call; each parse_args call starts afresh."""
     parser = _Parser(prog="fpntrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("synth", help="render a synthetic scene to containers + manifest")
     p.add_argument("--scene", required=True, help="scene description JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jitter", type=float, default=0.05)
+    p.add_argument("--jitter", type=_nonnegative_float, default=0.05)
     p.add_argument("--candidates-per-object", type=_positive_int, default=4)
     p.set_defaults(func=cmd_synth)
 
@@ -434,7 +440,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=_positive_int, default=16)
     p.add_argument("--negatives", type=_nonnegative_int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p.add_argument("--lambda", dest="lam", type=_nonnegative_float, default=0.1)
     p.add_argument("--step", type=_positive_float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

@@ -421,13 +421,13 @@ def _frame_value(value) -> int:
 
 
 def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
-    """(N, 4) float64 boxes, each [x, y, w, h] finite with w, h > 0."""
+    """(N, 4) float64 boxes, each [x, y, w, h] finite with w, h and w * h > 0."""
     box = _column(values, _box_values, np.float64, "fiub", (4,), bad, what)
     finite = np.isfinite(box).all(axis=1)
     bad.report_rows(~finite, lambda i: f"bad {what}: non-finite box {tuple(box[i].tolist())}")
     w, h = box[:, 2], box[:, 3]
     bad.report_rows(
-        finite & ((w <= 0) | (h <= 0)),
+        finite & ((w <= 0) | (h <= 0) | (w * h == 0)),
         lambda i: f"bad {what}: degenerate box: w={w[i]!r}, h={h[i]!r}",
     )
     return box

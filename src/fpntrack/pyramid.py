@@ -1,18 +1,26 @@
-"""Feature pyramid data model: boxes, masks, level assignment and template reads.
+"""Feature pyramid data model: boxes, masks, cell geometry, level assignment and template reads.
 
 Boxes are (x, y, w, h) with the origin at the top-left, in image pixels.
 Rasterization uses half-open intervals: pixel (r, c) is covered by a box
-iff x <= c < x + w and y <= r < y + h.
+iff x <= c < x + w and y <= r < y + h; a pyramid cell is in a box iff its
+centre is (``in_box``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+# The FPN box-to-level rule; see assign_level.
+BASE_LEVEL = 4
+CANONICAL_SIZE = 224.0
+MIN_LEVEL = 2
+MAX_LEVEL = 5
 
 
 @dataclass(frozen=True)
@@ -26,7 +34,8 @@ class BoundingBox:
         vals = (self.x, self.y, self.w, self.h)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidInputError(f"non-finite box {vals}")
-        if self.w <= 0 or self.h <= 0:
+        # w * h can underflow to 0 for positive w and h
+        if self.w <= 0 or self.h <= 0 or self.w * self.h == 0:
             raise InvalidInputError(f"degenerate box: w={self.w}, h={self.h}")
 
     @property
@@ -48,9 +57,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-    def contains(self, px: float, py: float) -> bool:
-        return self.x <= px < self.x2 and self.y <= py < self.y2
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
@@ -125,9 +131,6 @@ class Mask:
             pos += run
             value = not value
         return out.reshape(self.height, self.width)
-
-    def count(self) -> int:
-        return int(sum(self.runs[1::2]))
 
 
 @dataclass
@@ -229,35 +232,51 @@ class FeaturePyramid:
     def stride(self, level: int) -> int:
         return self.strides[self._index(level)]
 
-
-@dataclass(frozen=True)
-class LevelAssignConfig:
-    """Box-area to pyramid-level heuristic: k = floor(k0 + log2(sqrt(wh)/canonical))."""
-
-    base_level: int = 4
-    canonical_size: float = 224.0
-    min_level: int = 2
-    max_level: int = 5
+    def cell_centres(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centres (cy, cx) of every cell of every level; see ``cell_centres``."""
+        shapes = tuple((fm.height, fm.width) for fm in self.levels)
+        return cell_centres(shapes, self.strides)
 
 
-DEFAULT_LEVEL_ASSIGN = LevelAssignConfig()
+@functools.lru_cache(maxsize=8)  # distinct (shapes, strides)
+def cell_centres(shapes: tuple, strides: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The centre (cy, cx) of every cell of levels with these (h, w) shapes and strides.
+
+    Cells are numbered level by level, finest first, row-major within a level.
+    The arrays are shared by every caller, so they are read-only.
+    """
+    cys, cxs = [], []
+    for (h, w), stride in zip(shapes, strides):
+        cys.append(np.repeat((np.arange(h) + 0.5) * stride, w))
+        cxs.append(np.tile((np.arange(w) + 0.5) * stride, h))
+    cy, cx = np.concatenate(cys), np.concatenate(cxs)
+    cy.flags.writeable = False
+    cx.flags.writeable = False
+    return cy, cx
 
 
-def assign_level(box: BoundingBox, num_levels: int, config: LevelAssignConfig = DEFAULT_LEVEL_ASSIGN) -> int:
-    """Pick the pyramid level label a box belongs to.
+def in_box(cy, cx, box: BoundingBox):
+    """Whether the points (cy, cx) lie in the box, half-open; elementwise on arrays."""
+    return (cy >= box.y) & (cy < box.y2) & (cx >= box.x) & (cx < box.x2)
 
-    Returns a label in [min_level, min_level + num_levels), so a 4-level
+
+def assign_level(box: BoundingBox, num_levels: int) -> int:
+    """Pick the pyramid level label a box belongs to, by the FPN rule
+    k = floor(BASE_LEVEL + log2(sqrt(wh) / CANONICAL_SIZE)) clamped to [MIN_LEVEL, MAX_LEVEL].
+
+    Returns a label in [MIN_LEVEL, MIN_LEVEL + num_levels), so a 4-level
     pyramid labelled 2..5 gets the classic [2, 5] range.
     """
     if num_levels < 1:
         raise InvalidInputError("num_levels must be >= 1")
-    area = box.area
-    if area <= 0:
-        raise InvalidInputError("box area must be positive")
-    k = math.floor(config.base_level + math.log2(math.sqrt(area) / config.canonical_size))
-    k = min(max(k, config.min_level), config.max_level)
-    k = min(max(k, config.min_level), config.min_level + num_levels - 1)
-    return k
+    k = math.floor(BASE_LEVEL + math.log2(math.sqrt(box.area) / CANONICAL_SIZE))
+    return min(max(k, MIN_LEVEL), MAX_LEVEL, MIN_LEVEL + num_levels - 1)
+
+
+def template_level(pyramid: FeaturePyramid, box: BoundingBox) -> int:
+    """The box's assigned level, clamped to the labels the pyramid has."""
+    labels = pyramid.level_labels
+    return min(max(assign_level(box, pyramid.num_levels), labels[0]), labels[-1])
 
 
 def center_cell(box: BoundingBox, pyramid: FeaturePyramid, level: int) -> tuple[int, int]:
@@ -271,15 +290,9 @@ def center_cell(box: BoundingBox, pyramid: FeaturePyramid, level: int) -> tuple[
     return row, col
 
 
-def extract_template(
-    pyramid: FeaturePyramid,
-    box: BoundingBox,
-    config: LevelAssignConfig = DEFAULT_LEVEL_ASSIGN,
-) -> np.ndarray:
+def extract_template(pyramid: FeaturePyramid, box: BoundingBox) -> np.ndarray:
     """Read the D-vector at the box center in its assigned level."""
-    level = assign_level(box, pyramid.num_levels, config)
-    labels = pyramid.level_labels
-    level = min(max(level, labels[0]), labels[-1])
+    level = template_level(pyramid, box)
     row, col = center_cell(box, pyramid, level)
     return pyramid.level_map(level).data[row, col].copy()
 

@@ -79,7 +79,6 @@ def distractor_scene(seed: int, params: SuiteParams | None = None) -> SceneSpec:
         num_frames=params.num_frames,
         objects=[target, distractor],
         noise_sigma=params.noise_sigma,
-        distractor_overlap=params.overlap,
         seed=seed,
     )
 

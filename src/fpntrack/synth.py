@@ -4,16 +4,15 @@ Objects are identity embeddings painted onto pyramid cells whose
 receptive-field centers fall inside the object box, scaled by a separable
 cosine window (1 at the box center, 0 at the edges). A frame's levels are
 row-major views into one flat array of cells, so each object costs one
-half-open in-box test of the cached cell centres of every level, one window
-per axis on the cells it covers and one assignment. Noise is then drawn
-level by level, finest first. Noise and jitter use the counter-based Philox
-generator keyed on (seed, frame) so frames can be rendered in any order, or
-in parallel, with identical results.
+``pyramid.in_box`` test of the cached ``pyramid.cell_centres`` of every
+level, one window per axis on the cells it covers and one assignment. Noise
+is then drawn level by level, finest first. Noise and jitter use the
+counter-based Philox generator keyed on (seed, frame) so frames can be
+rendered in any order, or in parallel, with identical results.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -21,14 +20,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, extract_template
+from .pyramid import (
+    BoundingBox,
+    FeatureMap,
+    FeaturePyramid,
+    Mask,
+    cell_centres,
+    extract_template,
+    in_box,
+)
 from .rng import philox
 from .tracker import Detection
 
 Trajectory = Callable[[int], Optional[BoundingBox]]
-
-# Distinct (image size, levels) whose cell centres stay cached.
-CELL_CENTRES_CACHE_SIZE = 8
 
 
 @dataclass
@@ -51,7 +55,6 @@ class SceneSpec:
     num_frames: int
     objects: list[SceneObject] = field(default_factory=list)
     noise_sigma: float = 0.0
-    distractor_overlap: float = 0.0
     seed: int = 0
     levels: tuple[int, ...] = (2, 3, 4, 5)
 
@@ -85,29 +88,6 @@ def _cosine_window(coords: np.ndarray, center: float, half: float) -> np.ndarray
     return 0.5 * (1.0 + np.cos(np.pi * u))
 
 
-@functools.lru_cache(maxsize=CELL_CENTRES_CACHE_SIZE)
-def _cell_centres(
-    image_height: int, image_width: int, levels: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
-    """Each level's (h, w) and the centre (cy, cx) of every cell of every level.
-
-    Cells are numbered level by level, finest first, row-major within a level.
-    The arrays are shared by every caller, so they are read-only.
-    """
-    shapes, cys, cxs = [], [], []
-    for lvl in levels:
-        stride = 2 ** lvl
-        h = math.ceil(image_height / stride)
-        w = math.ceil(image_width / stride)
-        shapes.append((h, w))
-        cys.append(np.repeat((np.arange(h) + 0.5) * stride, w))
-        cxs.append(np.tile((np.arange(w) + 0.5) * stride, h))
-    cy, cx = np.concatenate(cys), np.concatenate(cxs)
-    cy.flags.writeable = False
-    cx.flags.writeable = False
-    return tuple(shapes), cy, cx
-
-
 def render_frame(
     spec: SceneSpec, frame: int
 ) -> tuple[FeaturePyramid, list[Optional[BoundingBox]], list[Optional[Mask]]]:
@@ -119,12 +99,16 @@ def render_frame(
     if not 0 <= frame < spec.num_frames:
         raise InvalidInputError(f"frame {frame} outside [0, {spec.num_frames})")
     boxes = [obj.trajectory(frame) for obj in spec.objects]
-    shapes, cy, cx = _cell_centres(spec.image_height, spec.image_width, tuple(spec.levels))
+    strides = tuple(2 ** lvl for lvl in spec.levels)
+    shapes = tuple(
+        (math.ceil(spec.image_height / s), math.ceil(spec.image_width / s)) for s in strides
+    )
+    cy, cx = cell_centres(shapes, strides)
     cells = np.zeros((cy.size, spec.depth), dtype=np.float64)
     for obj, box in zip(spec.objects, boxes):
         if box is None:
             continue
-        inside = np.flatnonzero((cy >= box.y) & (cy < box.y2) & (cx >= box.x) & (cx < box.x2))
+        inside = np.flatnonzero(in_box(cy, cx, box))
         if inside.size == 0:
             continue
         fy = _cosine_window(cy[inside], box.cy, box.h / 2)

@@ -12,6 +12,9 @@ reads the primal condition number off those eigenvalues; in the dual case the
 primal spectrum holds ``D - rows`` extra copies of lambda, its smallest
 eigenvalue. The backward pass through the solve is analytic, reuses the same
 eigenpairs and is checked against finite differences.
+
+Negatives are the cells of every level outside the box, positives the cells
+in it at its ``pyramid.template_level``, both by ``pyramid.in_box``.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ import numpy as np
 
 from .errors import InvalidInputError, SolverError
 from .pyramid import (
-    DEFAULT_LEVEL_ASSIGN,
     BoundingBox,
     FeaturePyramid,
-    LevelAssignConfig,
-    assign_level,
     center_cell,
     extract_template,
+    in_box,
+    template_level,
 )
 from .rng import philox
 
@@ -170,14 +172,6 @@ def template_mean_diff(
     return TemplateVector(pos - neg, kind="mean_diff")
 
 
-def _cell_centers(pyramid: FeaturePyramid, level: int) -> tuple[np.ndarray, np.ndarray]:
-    fm = pyramid.level_map(level)
-    stride = pyramid.stride(level)
-    cys = (np.arange(fm.height) + 0.5) * stride
-    cxs = (np.arange(fm.width) + 0.5) * stride
-    return cys, cxs
-
-
 def sample_negatives(
     pyramid: FeaturePyramid,
     gt_box: BoundingBox,
@@ -196,19 +190,14 @@ def sample_negatives(
     # cells are numbered level by level, row-major within a level
     rows = [fm.data.reshape(-1, fm.depth) for fm in pyramid.levels]
     starts = np.cumsum([0] + [len(r) for r in rows])
-    per_level = []
-    for fm, start in zip(pyramid.levels, starts):
-        cys, cxs = _cell_centers(pyramid, fm.level)
-        out_y = (cys < gt_box.y) | (cys >= gt_box.y2)
-        out_x = (cxs < gt_box.x) | (cxs >= gt_box.x2)
-        per_level.append(start + np.flatnonzero(out_y[:, None] | out_x[None, :]))
+    pool = np.flatnonzero(~in_box(*pyramid.cell_centres(), gt_box))
     if balance_levels:
+        per_level = np.split(pool, np.searchsorted(pool, starts[1:-1]))
         share = max(1, q // len(per_level))
         chosen = np.concatenate([ids[rng.permutation(len(ids))[:share]] for ids in per_level])
         rng.shuffle(chosen)
         chosen = chosen[:q]
     else:
-        pool = np.concatenate(per_level)
         chosen = pool[rng.permutation(len(pool))[:q]]
     level_of = np.searchsorted(starts, chosen, side="right") - 1
     out = np.empty((len(chosen), pyramid.levels[0].depth))
@@ -219,30 +208,23 @@ def sample_negatives(
 
 
 def sample_positives(
-    pyramid: FeaturePyramid,
-    gt_box: BoundingBox,
-    p: int,
-    seed: int,
-    config: LevelAssignConfig = DEFAULT_LEVEL_ASSIGN,
+    pyramid: FeaturePyramid, gt_box: BoundingBox, p: int, seed: int
 ) -> tuple[list[np.ndarray], int]:
     """Sample p in-box features from the assigned level; the center cell always leads."""
     if p < 1:
         raise InvalidInputError("p must be >= 1")
-    level = assign_level(gt_box, pyramid.num_levels, config)
-    labels = pyramid.level_labels
-    level = min(max(level, labels[0]), labels[-1])
+    level = template_level(pyramid, gt_box)
     fm = pyramid.level_map(level)
+    start = sum(f.height * f.width for f in pyramid.levels[: pyramid.level_labels.index(level)])
+    cy, cx = (c[start : start + fm.height * fm.width] for c in pyramid.cell_centres())
     row0, col0 = center_cell(gt_box, pyramid, level)
-    cys, cxs = _cell_centers(pyramid, level)
-    in_y = (cys >= gt_box.y) & (cys < gt_box.y2)
-    in_x = (cxs >= gt_box.x) & (cxs < gt_box.x2)
-    rr, cc = np.nonzero(np.outer(in_y, in_x))
-    cells = [(r, c) for r, c in zip(rr, cc) if (r, c) != (row0, col0)]
+    centre = row0 * fm.width + col0
+    inside = np.flatnonzero(in_box(cy, cx, gt_box))
+    others = inside[inside != centre]
     rng = philox(0, stream=seed)
-    idx = rng.permutation(len(cells))[: p - 1]
-    picked = [(row0, col0)] + [cells[i] for i in idx]
-    feats = [fm.data[r, c].astype(np.float64) for r, c in picked]
-    return feats, max(0, p - len(feats))
+    picked = np.concatenate(([centre], others[rng.permutation(len(others))[: p - 1]]))
+    feats = fm.data.reshape(-1, fm.depth)[picked].astype(np.float64)
+    return list(feats), max(0, p - len(feats))
 
 
 def build_template(
@@ -256,23 +238,22 @@ def build_template(
     seed: int = 0,
     normalize: bool = False,
     balance_levels: bool = False,
-    level_config: LevelAssignConfig = DEFAULT_LEVEL_ASSIGN,
 ) -> TemplateVector:
     """Build a template of the requested kind from the first frame."""
     if kind not in TEMPLATE_KINDS:
         raise InvalidInputError(f"unknown template kind {kind!r}")
     if kind == "center":
-        return TemplateVector(extract_template(pyramid, box, level_config), kind="center")
+        return TemplateVector(extract_template(pyramid, box), kind="center")
     if kind == "mean_pos":
-        pos, _ = sample_positives(pyramid, box, num_positives, seed, level_config)
+        pos, _ = sample_positives(pyramid, box, num_positives, seed)
         return template_mean_pos(pos)
     neg, _ = sample_negatives(pyramid, box, num_negatives, seed, balance_levels)
     if not neg:
         raise SolverError("no negative samples available outside the box")
     if kind == "mean_diff":
-        pos, _ = sample_positives(pyramid, box, num_positives, seed, level_config)
+        pos, _ = sample_positives(pyramid, box, num_positives, seed)
         return template_mean_diff(pos, neg)
-    positive = extract_template(pyramid, box, level_config)
+    positive = extract_template(pyramid, box)
     if normalize:
         positive = _unit(positive)
         neg = [_unit(n) for n in neg]

@@ -347,6 +347,16 @@ class TestMalformedJsonl:
         assert rc == 1
         assert "gt.jsonl:2:" in err and "bad groundtruth" in err
 
+    @pytest.mark.parametrize("bad_file", ["tracks", "gt"])
+    def test_box_whose_area_underflows_is_user_error(self, tmp_path, capsys, bad_file):
+        tiny = [0, 0, 1e-200, 1e-200]
+        track, gt = dict(self.TRACK, frame=1), dict(self.GT, frame=1)
+        (track if bad_file == "tracks" else gt)["box"] = tiny
+        rc = self.run_eval(tmp_path, track, gt)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{bad_file}.jsonl:2:" in err and "degenerate box" in err
+
     def test_track_frame_that_does_not_increase_names_its_line(self, tmp_path, capsys):
         rc = self.run_eval(tmp_path, dict(self.TRACK, frame=0), dict(self.GT, frame=1))
         err = capsys.readouterr().err
@@ -504,7 +514,9 @@ class TestValueFlags:
         [("--dim", "0", "a positive integer"),
          ("--negatives", "-5", "a non-negative integer"),
          ("--step", "0", "a positive finite number"),
-         ("--step", "nan", "a positive finite number")],
+         ("--step", "nan", "a positive finite number"),
+         ("--lambda", "nan", "a non-negative finite number"),
+         ("--lambda", "-1", "a non-negative finite number")],
     )
     def test_gradcheck_value_names_flag(self, capsys, flag, value, kind):
         assert main(["gradcheck", f"{flag}={value}"]) == 1
@@ -513,6 +525,32 @@ class TestValueFlags:
     def test_gradcheck_accepts_zero_negatives(self, capsys):
         assert main(["gradcheck", "--dim", "4", "--negatives", "0"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("solve-template", "--lambda", "nan"), ("solve-template", "--lambda", "-0.5"),
+         ("track", "--lambda", "nan"), ("track", "--lambda", "inf"),
+         ("synth", "--jitter", "-1"), ("synth", "--jitter", "nan")],
+    )
+    def test_negative_or_nonfinite_value_names_flag(
+        self, scene_dir, tmp_path, capsys, command, flag, value
+    ):
+        required = {
+            "solve-template": ["--pyramid", str(scene_dir / "frame_0000.fpyr"),
+                               "--box", "8,20,24,24"],
+            "track": ["--sequence", str(scene_dir / "manifest.json"),
+                      "--out", str(tmp_path / "t.jsonl")],
+            "synth": ["--scene", str(tmp_path / "scene.json"),
+                      "--out-dir", str(tmp_path / "again")],
+        }[command]
+        assert main([command, *required, f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a non-negative finite number, got '{value}'" in err
+
+    def test_repeated_calls_parse_independently(self, capsys):
+        assert main(["gradcheck", "--dim", "2", "--negatives", "0", "--tolerance", "0"]) == 2
+        assert main(["gradcheck", "--dim", "2", "--negatives", "0"]) == 0
+        assert "PASS" in capsys.readouterr().out.splitlines()[-1]
 
 
 class TestCountFlags:

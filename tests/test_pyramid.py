@@ -34,6 +34,8 @@ class TestBoundingBox:
             BoundingBox(0, 0, 0, 10)
         with pytest.raises(InvalidInputError):
             BoundingBox(0, 0, 10, -1)
+        with pytest.raises(InvalidInputError):  # w * h underflows to 0
+            BoundingBox(0, 0, 1e-200, 1e-200)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):

@@ -8,7 +8,6 @@ from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, extract_template
 from fpntrack.scenarios import correlated_identities, distractor_scene, linear_trajectory
 from fpntrack.synth import (
-    _cell_centres,
     SceneObject,
     SceneSpec,
     candidate_features,
@@ -177,16 +176,16 @@ class TestFlatRenderer:
 
     def test_cached_centres_read_only_and_unchanged(self):
         spec = distractor_scene(1)
-        key = (spec.image_height, spec.image_width, tuple(spec.levels))
-        shapes, cy, cx = _cell_centres(*key)
+        pyr, _, _ = render_frame(spec, 0)
+        cy, cx = pyr.cell_centres()
         before = cy.copy(), cx.copy()
-        render_frame(spec, 0)
-        assert _cell_centres(*key)[1] is cy
+        render_frame(spec, 1)
+        assert pyr.cell_centres()[0] is cy
         assert not cy.flags.writeable and not cx.flags.writeable
         with pytest.raises(ValueError):
             cy[0] = -1.0
         assert np.array_equal(cy, before[0]) and np.array_equal(cx, before[1])
-        assert cy.size == sum(h * w for h, w in shapes)
+        assert cy.size == sum(fm.height * fm.width for fm in pyr.levels)
 
 
 class TestSceneSpecValidation:

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError, SolverError
-from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, extract_template
+from fpntrack.pyramid import (
+    BoundingBox,
+    FeatureMap,
+    FeaturePyramid,
+    assign_level,
+    center_cell,
+    extract_template,
+)
 from fpntrack.scenarios import distractor_scene
 from fpntrack.synth import philox, render_frame
 from fpntrack.templates import (
@@ -93,6 +100,26 @@ def oracle_negatives(pyramid, gt_box, q, seed, balance_levels=False):
         return pool[:q]
     pool = [f for feats in per_level for f in feats]
     return [pool[i] for i in rng.permutation(len(pool))[:q]]
+
+
+def oracle_positives(pyramid, gt_box, p, seed):
+    """The reference sampler: the centre cell, then p - 1 other in-box cells of its level."""
+    level = assign_level(gt_box, pyramid.num_levels)
+    labels = pyramid.level_labels
+    level = min(max(level, labels[0]), labels[-1])
+    fm = pyramid.level_map(level)
+    row0, col0 = center_cell(gt_box, pyramid, level)
+    stride = pyramid.stride(level)
+    cys = (np.arange(fm.height) + 0.5) * stride
+    cxs = (np.arange(fm.width) + 0.5) * stride
+    in_y = (cys >= gt_box.y) & (cys < gt_box.y2)
+    in_x = (cxs >= gt_box.x) & (cxs < gt_box.x2)
+    rr, cc = np.nonzero(np.outer(in_y, in_x))
+    cells = [(r, c) for r, c in zip(rr, cc) if (r, c) != (row0, col0)]
+    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    idx = rng.permutation(len(cells))[: p - 1]
+    picked = [(row0, col0)] + [cells[i] for i in idx]
+    return [fm.data[r, c].astype(np.float64) for r, c in picked]
 
 
 def finite_difference_grad(problem, g, step=1e-4):
@@ -337,6 +364,29 @@ class TestSampling:
         expected = oracle_negatives(pyr, gt_box, q, seed, balance_levels=balance)
         assert len(feats) == len(expected)
         assert shortfall == q - len(expected)
+        for got, want in zip(feats, expected):
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        base=st.integers(4, 24),
+        box=st.tuples(st.floats(-20, 90), st.floats(-20, 90), st.floats(1, 80), st.floats(1, 80)),
+        p=st.integers(1, 60),
+    )
+    def test_positives_bitwise_equal_to_oracle(self, seed, base, box, p):
+        rng = np.random.default_rng(seed % 1000)
+        maps = [
+            FeatureMap(lvl, rng.normal(size=(base >> i, base >> i, 5)).astype(np.float32))
+            for i, lvl in enumerate(range(2, 5))
+        ]
+        pyr = FeaturePyramid(maps)
+        gt_box = BoundingBox(*box)
+        feats, shortfall = sample_positives(pyr, gt_box, p, seed)
+        expected = oracle_positives(pyr, gt_box, p, seed)
+        assert len(feats) == len(expected)
+        assert shortfall == p - len(expected)
         for got, want in zip(feats, expected):
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
