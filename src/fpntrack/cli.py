@@ -40,6 +40,15 @@ def _parse_box(text: str) -> BoundingBox:
         raise UsageError(f"bad box {text!r}: {exc}") from exc
 
 
+def _box_in_image(flag: str, text: str, pyramid: FeaturePyramid) -> BoundingBox:
+    """The box a flag gives, which must meet the image [0, W) x [0, H)."""
+    box = _parse_box(text)
+    w, h = pyramid.image_width, pyramid.image_height
+    if not (box.x < w and box.x2 > 0 and box.y < h and box.y2 > 0):
+        raise UsageError(f"{flag} {text} lies outside the {w}x{h} image [0, {w}) x [0, {h})")
+    return box
+
+
 def _int_at_least(text: str, least: int, kind: str) -> int:
     try:
         value = int(text)
@@ -197,7 +206,7 @@ def _template_kwargs(args) -> dict:
 
 def cmd_solve_template(args) -> int:
     pyramid = container.read_container(args.pyramid)
-    box = _parse_box(args.box)
+    box = _box_in_image("--box", args.box, pyramid)
     template = templates.build_template(
         pyramid, box, args.template_mode.replace("-", "_"), **_template_kwargs(args)
     )
@@ -261,10 +270,10 @@ def _frame_detections(mf, pyramid, template) -> list[Detection]:
 
 def cmd_track(args) -> int:
     manifest = container.load_manifest(args.sequence)
-    init_box = _parse_box(args.init) if args.init else manifest.init_box
     if not manifest.frames:
         raise UsageError("manifest has no frames")
     init_pyramid = container.read_container(manifest.frames[0].pyramid)
+    init_box = _box_in_image("--init", args.init, init_pyramid) if args.init else manifest.init_box
 
     # frame 0 scores its candidates on the pyramid the template is built from
     frames = [
@@ -291,19 +300,19 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _aligned_table(args) -> metrics.AlignedTable:
-    """The --pred track joined to the --gt groundtruth, both read as columns."""
-    track = container.read_track_columns(args.pred)
-    gt = container.read_groundtruth_columns(args.gt)
-    try:
-        return metrics.align(track, gt)
-    except InvalidInputError as exc:  # a groundtruth frame the track lacks
-        raise ContainerError(f"{args.pred}: {exc} of {args.gt}") from exc
-
-
 def cmd_eval(args) -> int:
+    track = container.read_tracks(args.pred)
+    gt = container.read_groundtruth(args.gt)
+
+    def joined(metric, *options):
+        """metric(track, gt, *options), naming both files if the track lacks a gt frame."""
+        try:
+            return metric(track, gt, *options)
+        except InvalidInputError as exc:
+            raise ContainerError(f"{args.pred}: {exc} of {args.gt}") from exc
+
     if args.protocol == "got":
-        ao, sr = _aligned_table(args).average_overlap(args.sr_threshold)
+        ao, sr = joined(metrics.average_overlap, args.sr_threshold)
         report = {
             "protocol": "got",
             "ao": ao,
@@ -311,9 +320,8 @@ def cmd_eval(args) -> int:
             "sr_threshold": args.sr_threshold,
         }
     elif args.protocol == "oxuva":
-        table = _aligned_table(args)
-        tpr, tnr = table.oxuva_rates(args.theta, args.iou_threshold)
-        fpr, tpr_curve = table.roc_curve(args.iou_threshold)
+        tpr, tnr = joined(metrics.oxuva_rates, args.theta, args.iou_threshold)
+        fpr, tpr_curve = joined(metrics.roc_curve, args.iou_threshold)
         report = {
             "protocol": "oxuva",
             "tpr": tpr,
@@ -325,7 +333,7 @@ def cmd_eval(args) -> int:
             "curve": {"fpr": list(fpr), "tpr": list(tpr_curve)},
         }
     elif args.protocol == "ltb35":
-        p, r, f, theta = _aligned_table(args).longterm_prf()
+        p, r, f, theta = joined(metrics.longterm_prf)
         report = {
             "protocol": "ltb35",
             "precision": p,
@@ -334,10 +342,7 @@ def cmd_eval(args) -> int:
             "theta": theta,
         }
     else:  # davis
-        track = container.read_tracks(args.pred)
-        gt = container.read_groundtruth(args.gt)
-        pred_masks = [e.detection.mask for e in track]
-        gt_masks = [g.mask for g in gt]
+        pred_masks, gt_masks = joined(metrics.align_masks)
         if any(m is None for m in pred_masks) or any(m is None for m in gt_masks):
             raise UsageError("davis protocol requires masks on every frame")
         j_mean, j_recall, j_decay = metrics.davis_j(pred_masks, gt_masks)

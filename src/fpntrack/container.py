@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContainerError, InvalidInputError
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask
-from .tracker import Detection, Track, TrackEntry
+from .tracker import Track
 from .metrics import GroundtruthColumns, GroundtruthFrame, GroundtruthSequence, TrackColumns
 
 CONTAINER_VERSION = 1
@@ -421,14 +421,20 @@ def _frame_value(value) -> int:
 
 
 def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
-    """(N, 4) float64 boxes, each [x, y, w, h] finite with w, h and w * h > 0."""
+    """(N, 4) float64 boxes, each [x, y, w, h] finite with w, h > 0 and 0 < w * h < inf."""
     box = _column(values, _box_values, np.float64, "fiub", (4,), bad, what)
     finite = np.isfinite(box).all(axis=1)
     bad.report_rows(~finite, lambda i: f"bad {what}: non-finite box {tuple(box[i].tolist())}")
     w, h = box[:, 2], box[:, 3]
+    with np.errstate(over="ignore"):
+        area = w * h
     bad.report_rows(
-        finite & ((w <= 0) | (h <= 0) | (w * h == 0)),
+        finite & ((w <= 0) | (h <= 0) | (area == 0)),
         lambda i: f"bad {what}: degenerate box: w={w[i]!r}, h={h[i]!r}",
+    )
+    bad.report_rows(
+        finite & (area == np.inf),
+        lambda i: f"bad {what}: box area overflows: w={w[i]!r}, h={h[i]!r}",
     )
     return box
 
@@ -451,7 +457,7 @@ def _flags(values: list) -> np.ndarray:
     return np.fromiter(map(bool, values), dtype=bool, count=len(values))
 
 
-def _masks(records: list[dict], bad: _FirstBad, what: str) -> list[Optional[Mask]]:
+def _masks(records: list[dict], bad: _FirstBad, what: str) -> tuple[Optional[Mask], ...]:
     """Each record's mask, None where it has none."""
     objs = list(map(operator.methodcaller("get", "mask"), records))
     masks: list[Optional[Mask]] = [None] * len(records)
@@ -461,7 +467,7 @@ def _masks(records: list[dict], bad: _FirstBad, what: str) -> list[Optional[Mask
         except (ContainerError, OverflowError) as exc:
             bad.report(i, f"bad {what}: {exc}")
             break
-    return masks
+    return tuple(masks)
 
 
 def _raise_first_bad(lines, path, bad: _FirstBad, parse_error) -> None:
@@ -472,7 +478,14 @@ def _raise_first_bad(lines, path, bad: _FirstBad, parse_error) -> None:
         raise parse_error
 
 
-def _track_records(path) -> tuple[TrackColumns, list[Optional[Mask]]]:
+def read_tracks(path) -> TrackColumns:
+    """A tracks JSONL file as validated columns.
+
+    Each non-blank line is one JSON object with `frame`, `box`, `confidence`
+    and `present`, and an optional `mask`. Boxes must be finite with w, h > 0
+    and a finite area, confidences in [0, 1] and frames strictly increasing.
+    The first bad record is named as <path>:<line> in a ContainerError.
+    """
     lines, records, parse_error = _jsonl_objects(path, "track record")
     bad = _FirstBad()
     boxes, confidences, frames, present = (
@@ -489,30 +502,7 @@ def _track_records(path) -> tuple[TrackColumns, list[Optional[Mask]]]:
     frame = _frames(frames, bad, "track record")
     _check_increasing(frame, bad, "track record")
     _raise_first_bad(lines, path, bad, parse_error)
-    return TrackColumns(frame, box, confidence, _flags(present)), masks
-
-
-def read_track_columns(path) -> TrackColumns:
-    """A tracks JSONL file as validated columns.
-
-    Each non-blank line is one JSON object with `frame`, `box`, `confidence`
-    and `present`. Boxes must be finite with w, h > 0, confidences in [0, 1]
-    and frames strictly increasing. The first bad record is named as
-    <path>:<line> in a ContainerError.
-    """
-    return _track_records(path)[0]
-
-
-def read_tracks(path) -> Track:
-    """A tracks JSONL file as a Track, built from `read_track_columns`' checks."""
-    cols, masks = _track_records(path)
-    return Track([
-        TrackEntry(frame, Detection(BoundingBox(*box), confidence, mask), present)
-        for frame, box, confidence, present, mask in zip(
-            cols.frame.tolist(), cols.box.tolist(), cols.confidence.tolist(),
-            cols.present.tolist(), masks,
-        )
-    ])
+    return TrackColumns(frame, box, confidence, _flags(present), masks)
 
 
 def write_groundtruth(gt: GroundtruthSequence, path) -> None:
@@ -528,7 +518,14 @@ def write_groundtruth(gt: GroundtruthSequence, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _groundtruth_records(path) -> tuple[GroundtruthColumns, list[Optional[Mask]]]:
+def read_groundtruth(path) -> GroundtruthColumns:
+    """A groundtruth JSONL file as validated columns.
+
+    Each non-blank line is one JSON object with `frame` and `present`, a
+    `box` where the target is present, and an optional `mask`. Boxes must be
+    finite with w, h > 0 and a finite area, and frames strictly increasing.
+    The first bad record is named as <path>:<line> in a ContainerError.
+    """
     lines, records, parse_error = _jsonl_objects(path, "groundtruth")
     bad = _FirstBad()
     frames, present = (_field(records, key, "groundtruth record", bad)
@@ -546,30 +543,7 @@ def _groundtruth_records(path) -> tuple[GroundtruthColumns, list[Optional[Mask]]
     )
     _check_increasing(frame, bad, "groundtruth")
     _raise_first_bad(lines, path, bad, parse_error)
-    return GroundtruthColumns(frame, present, has_box, box), masks
-
-
-def read_groundtruth_columns(path) -> GroundtruthColumns:
-    """A groundtruth JSONL file as validated columns.
-
-    Each non-blank line is one JSON object with `frame` and `present`, and a
-    `box` where the target is present. Boxes must be finite with w, h > 0
-    and frames strictly increasing. The first bad record is named as
-    <path>:<line> in a ContainerError.
-    """
-    return _groundtruth_records(path)[0]
-
-
-def read_groundtruth(path) -> GroundtruthSequence:
-    """A groundtruth JSONL file as a GroundtruthSequence, from the same checks."""
-    cols, masks = _groundtruth_records(path)
-    return GroundtruthSequence([
-        GroundtruthFrame(frame, present, BoundingBox(*box) if has_box else None, mask)
-        for frame, present, has_box, box, mask in zip(
-            cols.frame.tolist(), cols.present.tolist(), cols.has_box.tolist(),
-            cols.box.tolist(), masks,
-        )
-    ])
+    return GroundtruthColumns(frame, present, has_box, box, masks)
 
 
 def _round_floats(obj, sig: int = 6):

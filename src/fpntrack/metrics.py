@@ -1,12 +1,12 @@
 """Benchmark metrics: AO/SR, TPR/TNR/GM with ROC-AUC, long-term P/R/F, J stats.
 
-The box protocols (GOT, OxUvA, LTB35) read one `AlignedTable`: a track
-joined to its groundtruth by frame, with one row of confidence, overlap and
-presence per groundtruth frame. `align` builds it from columns
-(`TrackColumns`, `GroundtruthColumns`), which `container` reads straight
-from JSONL. The public functions taking a predicted track (entries with
-frame, detection, present flag) and a `GroundtruthSequence` are thin
-wrappers that build the same table. `davis_j` takes per-frame masks.
+Tracks and groundtruth are scored as columns: `TrackColumns` and
+`GroundtruthColumns`, which `container` reads straight from JSONL and
+`from_track`/`from_groundtruth` make from objects. The box protocols (GOT,
+OxUvA, LTB35) read one `AlignedTable`, which `align` builds: the track joined
+to its groundtruth by frame, with one row of confidence, overlap and presence
+per groundtruth frame. `align_masks` joins the masks the same way for
+`davis_j`, which takes per-frame masks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "GroundtruthColumns",
     "AlignedTable",
     "align",
-    "aligned_table",
+    "align_masks",
     "box_iou",
     "mask_iou",
     "average_overlap",
@@ -78,6 +78,7 @@ class TrackColumns:
     box: np.ndarray  # (N, 4) float64, [x, y, w, h]
     confidence: np.ndarray  # (N,) float64
     present: np.ndarray  # (N,) bool
+    mask: tuple  # (N,) Mask, or None where an entry has none
 
     @classmethod
     def from_track(cls, track) -> "TrackColumns":
@@ -87,6 +88,7 @@ class TrackColumns:
             np.array([e.detection.box.as_list() for e in entries], dtype=np.float64).reshape(-1, 4),
             np.array([e.detection.confidence for e in entries], dtype=np.float64),
             np.array([e.present for e in entries], dtype=bool),
+            tuple(e.detection.mask for e in entries),
         )
 
 
@@ -98,6 +100,7 @@ class GroundtruthColumns:
     present: np.ndarray  # (M,) bool
     has_box: np.ndarray  # (M,) bool
     box: np.ndarray  # (M, 4) float64
+    mask: tuple  # (M,) Mask, or None where a frame has none
 
     @classmethod
     def from_groundtruth(cls, gt) -> "GroundtruthColumns":
@@ -110,6 +113,7 @@ class GroundtruthColumns:
                 [g.box.as_list() if g.box is not None else [0.0] * 4 for g in frames],
                 dtype=np.float64,
             ).reshape(-1, 4),
+            tuple(g.mask for g in frames),
         )
 
 
@@ -221,8 +225,8 @@ class AlignedTable:
         return float(p[best]), float(r[best]), float(f[best]), float(c[ends[best]])
 
 
-def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:
-    """Join a track to its groundtruth on frame with one binary search.
+def _track_rows(track: TrackColumns, gt: GroundtruthColumns) -> np.ndarray:
+    """The track row of each groundtruth frame, found with one binary search.
 
     Where the track repeats a frame, its last entry counts. Raises
     InvalidInputError naming the first groundtruth frame the track lacks.
@@ -237,15 +241,19 @@ def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:
     found[found] = frame[row[found]] == gt.frame[found]
     if not found.all():
         raise InvalidInputError(f"track is missing frame {int(gt.frame[np.argmin(found)])}")
-    if order is not None:
-        row = order[row]
+    return row if order is None else order[row]
+
+
+def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:
+    """Join a track's boxes and confidences to its groundtruth on frame (`_track_rows`)."""
+    row = _track_rows(track, gt)
     overlap = np.where(gt.has_box, _box_iou_rows(track.box[row], gt.box), 0.0)
     return AlignedTable(track.confidence[row], overlap, gt.present, track.confidence)
 
 
-def aligned_table(track, gt: GroundtruthSequence) -> AlignedTable:
-    """`align` on a track of entries and a `GroundtruthSequence`."""
-    return align(TrackColumns.from_track(track), GroundtruthColumns.from_groundtruth(gt))
+def align_masks(track: TrackColumns, gt: GroundtruthColumns) -> tuple[list, list]:
+    """(track masks, groundtruth masks), one pair per groundtruth frame, joined as `align`."""
+    return [track.mask[i] for i in _track_rows(track, gt).tolist()], list(gt.mask)
 
 
 def _distinct_sorted(values) -> np.ndarray:
@@ -267,16 +275,18 @@ def _check_rates_defined(pos: int, neg: int) -> None:
         raise UndefinedMetricError("TNR undefined: no groundtruth-absent frames")
 
 
-def average_overlap(track, gt: GroundtruthSequence, sr_threshold: float = 0.5) -> tuple[float, float]:
+def average_overlap(
+    track: TrackColumns, gt: GroundtruthColumns, sr_threshold: float = 0.5
+) -> tuple[float, float]:
     """`AlignedTable.average_overlap` of the track aligned to `gt`."""
-    return aligned_table(track, gt).average_overlap(sr_threshold)
+    return align(track, gt).average_overlap(sr_threshold)
 
 
 def oxuva_rates(
-    track, gt: GroundtruthSequence, theta: float, iou_threshold: float = 0.5
+    track: TrackColumns, gt: GroundtruthColumns, theta: float, iou_threshold: float = 0.5
 ) -> tuple[float, float]:
     """`AlignedTable.oxuva_rates` of the track aligned to `gt`."""
-    return aligned_table(track, gt).oxuva_rates(theta, iou_threshold)
+    return align(track, gt).oxuva_rates(theta, iou_threshold)
 
 
 def geometric_mean(tpr: float, tnr: float) -> float:
@@ -286,10 +296,10 @@ def geometric_mean(tpr: float, tnr: float) -> float:
 
 
 def roc_curve(
-    track, gt: GroundtruthSequence, iou_threshold: float = 0.5
+    track: TrackColumns, gt: GroundtruthColumns, iou_threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
     """`AlignedTable.roc_curve` of the track aligned to `gt`."""
-    return aligned_table(track, gt).roc_curve(iou_threshold)
+    return align(track, gt).roc_curve(iou_threshold)
 
 
 def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
@@ -302,7 +312,7 @@ def trapezoid_auc(fpr: np.ndarray, tpr: np.ndarray) -> float:
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2))
 
 
-def roc_auc(track, gt: GroundtruthSequence, iou_threshold: float = 0.5) -> float:
+def roc_auc(track: TrackColumns, gt: GroundtruthColumns, iou_threshold: float = 0.5) -> float:
     """Area under `roc_curve`'s points, by `trapezoid_auc`."""
     return trapezoid_auc(*roc_curve(track, gt, iou_threshold))
 
@@ -313,9 +323,9 @@ def f_measure(p: float, r: float) -> float:
     return 2 * p * r / (p + r)
 
 
-def longterm_prf(track, gt: GroundtruthSequence) -> tuple[float, float, float, float]:
+def longterm_prf(track: TrackColumns, gt: GroundtruthColumns) -> tuple[float, float, float, float]:
     """`AlignedTable.longterm_prf` of the track aligned to `gt`."""
-    return aligned_table(track, gt).longterm_prf()
+    return align(track, gt).longterm_prf()
 
 
 def davis_j(

@@ -34,9 +34,11 @@ class BoundingBox:
         vals = (self.x, self.y, self.w, self.h)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidInputError(f"non-finite box {vals}")
-        # w * h can underflow to 0 for positive w and h
+        # w * h can underflow to 0, or overflow to inf, for finite positive w and h
         if self.w <= 0 or self.h <= 0 or self.w * self.h == 0:
             raise InvalidInputError(f"degenerate box: w={self.w}, h={self.h}")
+        if self.w * self.h == math.inf:
+            raise InvalidInputError(f"box area overflows: w={self.w}, h={self.h}")
 
     @property
     def x2(self) -> float:

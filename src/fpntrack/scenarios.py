@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import GroundtruthFrame, GroundtruthSequence, average_overlap
+from .metrics import GroundtruthColumns, GroundtruthFrame, TrackColumns, average_overlap
 from .pyramid import BoundingBox, FeaturePyramid
 from .synth import (
     SceneObject,
@@ -88,13 +88,14 @@ class RenderedScene:
     """What tracking a suite scene needs that no template kind changes.
 
     ``candidates`` holds, per frame, the jittered candidate boxes, their
-    centre features and those features' norms.
+    centre features and those features' norms; ``groundtruth`` holds the
+    target's boxes as columns.
     """
 
     init_pyramid: FeaturePyramid
     init_box: BoundingBox
     candidates: list[tuple[list[BoundingBox], np.ndarray, list]]
-    groundtruth: GroundtruthSequence
+    groundtruth: GroundtruthColumns
 
 
 def render_scene(spec: SceneSpec, params: SuiteParams | None = None) -> RenderedScene:
@@ -112,7 +113,9 @@ def render_scene(spec: SceneSpec, params: SuiteParams | None = None) -> Rendered
         )
         candidates.append((cand, *candidate_features(pyramid, cand)))
         gt.append(GroundtruthFrame(f, boxes[ti] is not None, boxes[ti]))
-    return RenderedScene(init_pyramid, init_box, candidates, GroundtruthSequence(gt))
+    return RenderedScene(
+        init_pyramid, init_box, candidates, GroundtruthColumns.from_groundtruth(gt)
+    )
 
 
 def scene_ao(
@@ -123,7 +126,7 @@ def scene_ao(
     track = run_track(
         frames, scene.init_box, scene.init_pyramid, config, template_kind, **template_kwargs
     )
-    ao, _ = average_overlap(track, scene.groundtruth)
+    ao, _ = average_overlap(TrackColumns.from_track(track), scene.groundtruth)
     return ao
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from fpntrack.cli import main
 from fpntrack.container import read_container, read_tracks
+from fpntrack.pyramid import BoundingBox
+from fpntrack.templates import build_template
 
 SCENE = {
     "image_size": [64, 64],
@@ -106,6 +108,50 @@ class TestSolveTemplateAndAttend:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "center"
         assert len(doc["values"]) == 8
+
+    def test_normalize_features_template_output(self, scene_dir, tmp_path):
+        frame = scene_dir / "frame_0000.fpyr"
+        docs = {}
+        for name, extra in (("raw", []), ("unit", ["--normalize-features"])):
+            out = tmp_path / f"{name}.json"
+            rc = main(["solve-template", "--pyramid", str(frame), "--box", "8,20,24,24",
+                       "--negatives", "32", "--out", str(out), *extra])
+            assert rc == 0
+            docs[name] = json.loads(out.read_text())
+        want = build_template(read_container(frame), BoundingBox(8, 20, 24, 24), "ridge",
+                              num_negatives=32, normalize=True)
+        assert docs["unit"]["kind"] == "ridge"
+        assert docs["unit"]["values"] == pytest.approx(want.values.tolist(), rel=1e-5)
+        assert docs["unit"]["values"] != docs["raw"]["values"]
+
+    def test_box_whose_area_overflows_is_user_error(self, scene_dir, capsys):
+        rc = main(["solve-template", "--pyramid", str(scene_dir / "frame_0000.fpyr"),
+                   "--box", "0,0,1e200,1e200", "--template-mode", "center"])
+        assert rc == 1
+        assert "box area overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box, inside", [
+        ("4000,2000,96,96", False), ("64,0,8,8", False), ("0,-8,8,8", False),
+        ("-4,-4,8,8", True), ("60,60,100,100", True),
+    ])
+    def test_box_must_meet_the_image(self, scene_dir, tmp_path, capsys, box, inside):
+        rc = main(["solve-template", "--pyramid", str(scene_dir / "frame_0000.fpyr"),
+                   f"--box={box}", "--template-mode", "center",
+                   "--out", str(tmp_path / "template.json")])
+        err = capsys.readouterr().err
+        if inside:
+            assert rc == 0
+        else:
+            assert rc == 1
+            assert f"--box {box} lies outside the 64x64 image" in err
+
+    def test_init_box_must_meet_the_image(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "tracks.jsonl"
+        rc = main(["track", "--sequence", str(scene_dir / "manifest.json"),
+                   "--init", "4000,2000,24,24", "--out", str(out)])
+        assert rc == 1
+        assert "--init 4000,2000,24,24 lies outside the 64x64 image" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_detection_mode_attention_is_uniform(self, scene_dir, tmp_path):
         template = tmp_path / "template.json"
@@ -212,8 +258,8 @@ class TestTrackAndEval:
     def test_track_output_is_readable_and_present(self, scene_dir, tmp_path):
         tracks = self.run_pipeline(scene_dir, tmp_path, ("--no-smooth",))
         track = read_tracks(tracks)
-        assert len(track) == 8
-        assert all(e.present for e in track)
+        assert track.frame.tolist() == list(range(8))
+        assert track.present.all()
 
     def test_oxuva_report_fields(self, tmp_path, capsys):
         # the oxuva rates need at least one groundtruth-absent frame
@@ -296,6 +342,34 @@ class TestTrackAndEval:
         assert rc == 1
         assert "mask" in capsys.readouterr().err
 
+    MASK = {"size": [4, 4], "runs": [0, 16]}
+
+    def write_masked(self, path, frames, masks):
+        path.write_text("".join(
+            json.dumps({"frame": f, "box": [0, 0, 4, 4], "confidence": 0.9, "present": True,
+                        "mask": m}) + "\n"
+            for f, m in zip(frames, masks)
+        ))
+
+    def test_davis_pairs_masks_by_frame(self, tmp_path, capsys):
+        # the track's extra frame 0 has an empty mask; paired by position it
+        # would meet the groundtruth's frame 1
+        pred, gt = tmp_path / "dt.jsonl", tmp_path / "dg.jsonl"
+        self.write_masked(pred, range(5), [{"size": [4, 4], "runs": [16]}] + [self.MASK] * 4)
+        self.write_masked(gt, range(1, 5), [self.MASK] * 4)
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--protocol", "davis"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["j_mean"] == 1.0
+
+    @pytest.mark.parametrize("protocol", ["got", "davis"])
+    def test_groundtruth_frame_missing_from_masked_track(self, tmp_path, capsys, protocol):
+        pred, gt = tmp_path / "dt.jsonl", tmp_path / "dg.jsonl"
+        self.write_masked(pred, range(1, 5), [self.MASK] * 4)
+        self.write_masked(gt, range(4), [self.MASK] * 4)
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--protocol", protocol])
+        assert rc == 1
+        assert f"{pred}: track is missing frame 0 of {gt}" in capsys.readouterr().err
+
 
 class TestMalformedJsonl:
     TRACK = {"frame": 0, "box": [0, 0, 5, 5], "confidence": 0.9, "present": True}
@@ -356,6 +430,16 @@ class TestMalformedJsonl:
         err = capsys.readouterr().err
         assert rc == 1
         assert f"{bad_file}.jsonl:2:" in err and "degenerate box" in err
+
+    @pytest.mark.parametrize("bad_file", ["tracks", "gt"])
+    def test_box_whose_area_overflows_is_user_error(self, tmp_path, capsys, bad_file):
+        huge = [0, 0, 1e200, 1e200]
+        track, gt = dict(self.TRACK, frame=1), dict(self.GT, frame=1)
+        (track if bad_file == "tracks" else gt)["box"] = huge
+        rc = self.run_eval(tmp_path, track, gt)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{bad_file}.jsonl:2:" in err and "box area overflows" in err
 
     def test_track_frame_that_does_not_increase_names_its_line(self, tmp_path, capsys):
         rc = self.run_eval(tmp_path, dict(self.TRACK, frame=0), dict(self.GT, frame=1))

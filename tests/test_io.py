@@ -210,11 +210,11 @@ class TestTrackJsonl:
         path = tmp_path / "tracks.jsonl"
         write_tracks(track, path)
         loaded = read_tracks(path)
-        assert len(loaded) == 2
-        assert loaded.entries[0].detection.box == BoundingBox(1, 2, 3, 4)
-        assert loaded.entries[0].detection.mask.runs == mask.runs
-        assert loaded.entries[1].frame == 3
-        assert not loaded.entries[1].present
+        assert loaded.frame.tolist() == [0, 3]
+        assert loaded.box.tolist() == [[1, 2, 3, 4], [0, 0, 1, 1]]
+        assert loaded.confidence.tolist() == [0.25, 0.0]
+        assert loaded.mask == (mask, None)
+        assert loaded.present.tolist() == [True, False]
 
     def test_groundtruth_roundtrip(self, tmp_path):
         gt = GroundtruthSequence(
@@ -226,8 +226,10 @@ class TestTrackJsonl:
         path = tmp_path / "gt.jsonl"
         write_groundtruth(gt, path)
         loaded = read_groundtruth(path)
-        assert loaded.frames[0].box == BoundingBox(0, 0, 5, 5)
-        assert loaded.frames[1].present is False
+        assert loaded.box.tolist() == [[0, 0, 5, 5], [0, 0, 0, 0]]
+        assert loaded.has_box.tolist() == [True, False]
+        assert loaded.present.tolist() == [True, False]
+        assert loaded.mask == (None, None)
 
     def test_malformed_line_names_position(self, tmp_path):
         path = tmp_path / "tracks.jsonl"

@@ -1,11 +1,13 @@
 """The columnar track/groundtruth JSONL readers against per-record oracles.
 
-The oracles are the per-line readers the columnar ones replaced, kept here
-with two deliberate changes, both to name the line where the old code did
-not: the strictly-increasing frame check runs per record (the old readers
-left it to the `Track`/`GroundtruthSequence` constructors, whose error named
-no line), and an OverflowError (an `Infinity` frame, say) is a bad record
-instead of escaping as a traceback.
+The oracles are per-line readers building `Track`/`GroundtruthSequence`
+objects, and the readers' columns are compared with the oracle objects'
+columns (`from_track`/`from_groundtruth`), masks included. The oracles are
+the older per-line readers with two deliberate changes, both to name the
+line where the old code did not: the strictly-increasing frame check runs
+per record (the old readers left it to the `Track`/`GroundtruthSequence`
+constructors, whose error named no line), and an OverflowError (an
+`Infinity` frame, say) is a bad record instead of escaping as a traceback.
 """
 
 import json
@@ -16,13 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fpntrack.container import (
-    _mask_from_json,
-    read_groundtruth,
-    read_groundtruth_columns,
-    read_track_columns,
-    read_tracks,
-)
+from fpntrack.container import _mask_from_json, read_groundtruth, read_tracks
 from fpntrack.errors import ContainerError, InvalidInputError
 from fpntrack.metrics import (
     GroundtruthColumns,
@@ -107,7 +103,7 @@ ODD_BOXES = [
     ["1.5", "2", "3", "4"], [1, 2, 3], "1,2,3,4", None, {}, [], 0, 1, "",
     [0, 0, 0, 5], [0, 0, 5, -1], [float("nan"), 0, 1, 1], [0, float("inf"), 1, 1],
     [True, 0, 1, 1], [10**20, 0, 1, 1], [2**63, 1, 2, 2], [[1], [2], [3], [4]],
-    [0, 0, "abc", 1], [0, 0, None, 1], [1e308, 0, 1e308, 1],
+    [0, 0, "abc", 1], [0, 0, None, 1], [1e308, 0, 1e308, 1], [0, 0, 1e200, 1e200],
 ]
 ODD_FRAMES = ["3", "x", "1e3", 2.5, -1.5, True, False, None, [1], {}, float("inf"), float("nan")]
 ODD_MASKS = [None, {}, [], 0, "", "x", 1, {"size": [2, 2], "runs": [5]},
@@ -197,8 +193,10 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def check_columns(got, want) -> None:
+    """Equal columns: the same bits in every array, equal masks."""
     for name in want.__dataclass_fields__:
-        assert same_bits(getattr(got, name), getattr(want, name)), name
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a == b) if name == "mask" else same_bits(a, b), name
 
 
 SETTINGS = settings(max_examples=300, deadline=None,
@@ -213,11 +211,9 @@ class TestAgainstOracles:
         path.write_text(text)
         want, want_error = outcome(oracle_read_tracks, path)
         got, got_error = outcome(read_tracks, path)
-        cols, cols_error = outcome(read_track_columns, path)
-        assert got_error == cols_error == want_error
+        assert got_error == want_error
         if want is not None:
-            assert got == want
-            check_columns(cols, TrackColumns.from_track(want))
+            check_columns(got, TrackColumns.from_track(want))
 
     @SETTINGS
     @given(jsonl_text("groundtruth"))
@@ -226,11 +222,9 @@ class TestAgainstOracles:
         path.write_text(text)
         want, want_error = outcome(oracle_read_groundtruth, path)
         got, got_error = outcome(read_groundtruth, path)
-        cols, cols_error = outcome(read_groundtruth_columns, path)
-        assert got_error == cols_error == want_error
+        assert got_error == want_error
         if want is not None:
-            assert got == want
-            check_columns(cols, GroundtruthColumns.from_groundtruth(want))
+            check_columns(got, GroundtruthColumns.from_groundtruth(want))
 
 
 TRACK = {"box": [0, 0, 1, 1], "confidence": 0.5, "present": True}
@@ -248,7 +242,7 @@ class TestCases:
         )
         joined = ",".join(path.read_text().splitlines())
         assert len(json.loads(f"[{joined}]")) == 3
-        for read in (read_tracks, read_track_columns, oracle_read_tracks):
+        for read in (read_tracks, oracle_read_tracks):
             with pytest.raises(ContainerError, match=rf"{re.escape(str(path))}:1: malformed"):
                 read(path)
 
@@ -257,38 +251,37 @@ class TestCases:
         path.write_text("".join(
             json.dumps(dict(TRACK, frame=f, note="}{")) + "\n" for f in range(3)
         ))
-        assert read_tracks(path) == oracle_read_tracks(path)
-        assert read_track_columns(path).frame.tolist() == [0, 1, 2]
+        check_columns(read_tracks(path), TrackColumns.from_track(oracle_read_tracks(path)))
+        assert read_tracks(path).frame.tolist() == [0, 1, 2]
 
     def test_frame_beyond_int64_is_refused(self, tmp_path):
         # the oracle keeps Python ints; the columns hold int64
         path = tmp_path / "tracks.jsonl"
         path.write_text(json.dumps(dict(TRACK, frame=2**63)) + "\n")
         with pytest.raises(ContainerError, match=r":1: bad track record: frame .* int64"):
-            read_track_columns(path)
+            read_tracks(path)
 
     def test_infinite_frame_names_its_line(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         path.write_text('{"frame": 0, "present": false}\n{"frame": Infinity, "present": false}\n')
         with pytest.raises(ContainerError, match=r"gt\.jsonl:2: bad groundtruth"):
-            read_groundtruth_columns(path)
+            read_groundtruth(path)
 
     def test_first_bad_record_wins_over_a_later_unparsable_line(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         path.write_text(json.dumps(dict(TRACK, frame=0, confidence=2.0)) + "\nnot json\n")
         with pytest.raises(ContainerError, match=r"tracks\.jsonl:1: bad track record: confidence"):
-            read_track_columns(path)
+            read_tracks(path)
 
     def test_empty_file_gives_empty_columns(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         path.write_text("\n  \n")
-        cols = read_track_columns(path)
-        assert cols.frame.shape == (0,) and cols.box.shape == (0, 4)
+        cols = read_tracks(path)
+        assert cols.frame.shape == (0,) and cols.box.shape == (0, 4) and cols.mask == ()
         assert cols.frame.dtype == np.int64 and cols.box.dtype == np.float64
 
     def test_file_that_is_not_utf8_is_a_container_error(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         path.write_bytes(b'{"frame": 0, "present": false}\n\xff\n')
-        for read in (read_groundtruth, read_groundtruth_columns):
-            with pytest.raises(ContainerError, match="not UTF-8"):
-                read(path)
+        with pytest.raises(ContainerError, match="not UTF-8"):
+            read_groundtruth(path)

@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from fpntrack.errors import InvalidInputError, UndefinedMetricError
 from fpntrack.metrics import (
+    GroundtruthColumns,
     GroundtruthFrame,
     GroundtruthSequence,
-    aligned_table,
+    TrackColumns,
+    align,
+    align_masks,
     average_overlap,
     box_iou,
     davis_j,
@@ -39,6 +42,11 @@ def make_gt(boxes):
     return GroundtruthSequence(
         [GroundtruthFrame(i, b is not None, b) for i, b in enumerate(boxes)]
     )
+
+
+def columns(track, gt):
+    """A track and a groundtruth sequence as the columns the metrics take."""
+    return TrackColumns.from_track(track), GroundtruthColumns.from_groundtruth(gt)
 
 
 boxes_strategy = st.builds(
@@ -131,20 +139,20 @@ class TestAverageOverlap:
                 (BoundingBox(50, 50, 10, 10), 0.9, True),  # IoU 0.0
             ]
         )
-        ao, sr = average_overlap(track, gt)
+        ao, sr = average_overlap(*columns(track, gt))
         assert ao == pytest.approx(0.5)
         assert sr == pytest.approx(1 / 3)
 
     def test_perfect_track(self):
         gt = make_gt([BoundingBox(i, 0, 8, 8) for i in range(5)])
         track = make_track([(BoundingBox(i, 0, 8, 8), 1.0, True) for i in range(5)])
-        assert average_overlap(track, gt) == (1.0, 1.0)
+        assert average_overlap(*columns(track, gt)) == (1.0, 1.0)
 
     def test_no_present_frames_undefined(self):
         gt = make_gt([None, None])
         track = make_track([(BoundingBox(0, 0, 1, 1), 0.0, False)] * 2)
         with pytest.raises(UndefinedMetricError):
-            average_overlap(track, gt)
+            average_overlap(*columns(track, gt))
 
     def test_random_case_matches_bruteforce(self):
         rng = philox(99)
@@ -158,7 +166,7 @@ class TestAverageOverlap:
         ]
         track = make_track([(b, 0.5, True) for b in pred_boxes])
         gt = make_gt(gt_boxes)
-        ao, sr = average_overlap(track, gt)
+        ao, sr = average_overlap(*columns(track, gt))
 
         # independent straightforward recomputation
         ious = []
@@ -174,12 +182,14 @@ class TestAverageOverlap:
         rng = philox(4)
         boxes = [BoundingBox(rng.uniform(0, 20), 0, 5, 5) for _ in range(10)]
         preds = [BoundingBox(rng.uniform(0, 20), 0, 5, 5) for _ in range(10)]
-        ao1, _ = average_overlap(make_track([(b, 0.5, True) for b in preds]), make_gt(boxes))
+        ao1, _ = average_overlap(
+            *columns(make_track([(b, 0.5, True) for b in preds]), make_gt(boxes))
+        )
         perm = list(range(10))[::-1]
-        ao2, _ = average_overlap(
+        ao2, _ = average_overlap(*columns(
             make_track([(preds[i], 0.5, True) for i in perm]),
             make_gt([boxes[i] for i in perm]),
-        )
+        ))
         assert ao1 == pytest.approx(ao2)
 
 
@@ -190,7 +200,7 @@ class TestOxuva:
             [(BoundingBox(0, 0, 5, 5), 0.9, True)] * 4
             + [(BoundingBox(0, 0, 5, 5), 0.0, False)]
         )
-        tpr, tnr = oxuva_rates(track, gt, theta=0.0)
+        tpr, tnr = oxuva_rates(*columns(track, gt), theta=0.0)
         assert tpr == 1.0
 
     def test_theta_above_max_predicts_all_absent(self):
@@ -198,19 +208,19 @@ class TestOxuva:
         track = make_track(
             [(BoundingBox(0, 0, 5, 5), 0.9, True), (BoundingBox(0, 0, 5, 5), 0.4, True)]
         )
-        tpr, tnr = oxuva_rates(track, gt, theta=1.0 + 1e-9)
+        tpr, tnr = oxuva_rates(*columns(track, gt), theta=1.0 + 1e-9)
         assert (tpr, tnr) == (0.0, 1.0)
 
     def test_localization_required_for_tpr(self):
         gt = make_gt([BoundingBox(0, 0, 10, 10)])
         track = make_track([(BoundingBox(50, 50, 10, 10), 0.9, True)])
         with pytest.raises(UndefinedMetricError):
-            oxuva_rates(track, gt, theta=0.0)  # TNR undefined: no absent frames
+            oxuva_rates(*columns(track, gt), theta=0.0)  # TNR undefined: no absent frames
         gt2 = make_gt([BoundingBox(0, 0, 10, 10), None])
         track2 = make_track(
             [(BoundingBox(50, 50, 10, 10), 0.9, True), (BoundingBox(0, 0, 1, 1), 0.0, False)]
         )
-        tpr, _ = oxuva_rates(track2, gt2, theta=0.0)
+        tpr, _ = oxuva_rates(*columns(track2, gt2), theta=0.0)
         assert tpr == 0.0
 
     def test_reference_geometric_means(self):
@@ -234,7 +244,7 @@ class TestRocAuc:
 
     def test_perfect_separator_scores_one(self):
         track, gt = self._separable_track()
-        assert roc_auc(track, gt) == pytest.approx(1.0)
+        assert roc_auc(*columns(track, gt)) == pytest.approx(1.0)
 
     def test_invariant_to_monotone_confidence_transform(self):
         rng = philox(21)
@@ -254,7 +264,7 @@ class TestRocAuc:
                 for c in confs
             ]
         )
-        assert roc_auc(base, gt) == pytest.approx(roc_auc(squashed, gt))
+        assert roc_auc(*columns(base, gt)) == pytest.approx(roc_auc(*columns(squashed, gt)))
 
     def test_hand_computed_area(self):
         # present frames at 0.9 and 0.3, absent frames at 0.5 and 0.1: three
@@ -265,7 +275,7 @@ class TestRocAuc:
         track = make_track(
             [(box, 0.9, True), (box, 0.5, True), (box, 0.3, True), (box, 0.1, True)]
         )
-        assert roc_auc(track, gt) == pytest.approx(0.75)
+        assert roc_auc(*columns(track, gt)) == pytest.approx(0.75)
 
 
 class TestLongtermPrf:
@@ -282,7 +292,7 @@ class TestLongtermPrf:
     def test_perfect_track_scores_one(self):
         gt = make_gt([BoundingBox(0, 0, 5, 5)] * 4)
         track = make_track([(BoundingBox(0, 0, 5, 5), 0.9, True)] * 4)
-        p, r, f, _ = longterm_prf(track, gt)
+        p, r, f, _ = longterm_prf(*columns(track, gt))
         assert (p, r, f) == (1.0, 1.0, 1.0)
 
     def test_reported_threshold_maximizes_f(self):
@@ -300,7 +310,7 @@ class TestLongtermPrf:
                 for _ in range(30)
             ]
         )
-        p, r, f, theta = longterm_prf(track, gt)
+        p, r, f, theta = longterm_prf(*columns(track, gt))
         pairs = list(zip(track, gt))
         for other_theta in {e.detection.confidence for e, _ in pairs}:
             preds = [
@@ -378,8 +388,9 @@ def loop_roc_curve(track, gt, iou_threshold=0.5):
     confidences = sorted({e.detection.confidence for e in track})
     thetas = [0.0] + confidences + [np.nextafter(max(confidences, default=0.0) + 1, np.inf)]
     points = []
+    cols = columns(track, gt)
     for theta in thetas:
-        tpr, tnr = oxuva_rates(track, gt, theta, iou_threshold)
+        tpr, tnr = oxuva_rates(*cols, theta, iou_threshold)
         points.append((1.0 - tnr, tpr))
     points.sort()
     fpr, tpr = zip(*points)
@@ -468,7 +479,7 @@ class TestAgainstLoopOracles:
     @given(st.lists(frame_strategy, min_size=1, max_size=60), st.sampled_from([0.0, 0.5, 0.9]))
     def test_roc_curve_matches_loop(self, frames, iou_threshold):
         track, gt = build_sequence(frames)
-        got, got_exc = raised(roc_curve, track, gt, iou_threshold)
+        got, got_exc = raised(roc_curve, *columns(track, gt), iou_threshold)
         want, want_exc = raised(loop_roc_curve, track, gt, iou_threshold)
         assert got_exc is want_exc
         if want is None:
@@ -483,7 +494,7 @@ class TestAgainstLoopOracles:
     @given(st.lists(frame_strategy, min_size=1, max_size=60))
     def test_longterm_prf_matches_loop(self, frames):
         track, gt = build_sequence(frames)
-        got, got_exc = raised(longterm_prf, track, gt)
+        got, got_exc = raised(longterm_prf, *columns(track, gt))
         want, want_exc = raised(loop_longterm_prf, track, gt)
         assert got_exc is want_exc
         if want is None:
@@ -503,18 +514,19 @@ class TestAgainstLoopOracles:
         gt_absent = make_gt([None, None])
         for track, gt in [(present, gt_present), (present, gt_absent)]:
             with pytest.raises(UndefinedMetricError):
-                roc_curve(track, gt)
+                roc_curve(*columns(track, gt))
             with pytest.raises(UndefinedMetricError):
                 loop_roc_curve(track, gt)
-        assert longterm_prf(present, gt_present) == loop_longterm_prf(present, gt_present)[0]
+        want = loop_longterm_prf(present, gt_present)[0]
+        assert longterm_prf(*columns(present, gt_present)) == want
         with pytest.raises(UndefinedMetricError):
-            longterm_prf(present, gt_absent)
+            longterm_prf(*columns(present, gt_absent))
 
     def test_zero_confidence_gives_duplicate_points(self):
         # thresholds 0, 0, 0.5 and above max: the two zeros give one point twice
         box = BoundingBox(0, 0, 5, 5)
         track = make_track([(box, 0.5, True), (box, 0.0, True)])
-        fpr, tpr = roc_curve(track, make_gt([box, None]))
+        fpr, tpr = roc_curve(*columns(track, make_gt([box, None])))
         assert list(zip(fpr, tpr)) == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
 
     def test_missing_frame_rejected(self):
@@ -523,7 +535,7 @@ class TestAgainstLoopOracles:
         gt = make_gt([box, None])
         for fn in (roc_curve, longterm_prf):
             with pytest.raises(InvalidInputError):
-                fn(track, gt)
+                fn(*columns(track, gt))
 
     def test_last_entry_wins_for_a_duplicated_frame(self):
         box = BoundingBox(0, 0, 5, 5)
@@ -533,10 +545,11 @@ class TestAgainstLoopOracles:
             TrackEntry(0, Detection(box, 0.6), True),
             TrackEntry(1, Detection(box, 0.3), True),
         ]
-        for got, want in zip(roc_curve(track, gt), loop_roc_curve(track, gt)):
+        for got, want in zip(roc_curve(*columns(track, gt)), loop_roc_curve(track, gt)):
             np.testing.assert_array_equal(got, want)
         # the 0.9 entry is overwritten, so 0.9 is no LTB35 threshold
-        assert longterm_prf(track, gt) == loop_longterm_prf(track, gt)[0] == (1.0, 1.0, 1.0, 0.6)
+        want = loop_longterm_prf(track, gt)[0]
+        assert longterm_prf(*columns(track, gt)) == want == (1.0, 1.0, 1.0, 0.6)
 
     def test_f_tie_reports_smallest_theta(self):
         # theta 0.9 predicts only frame 0: P = 1, R = 1/2, F = 2/3.
@@ -544,7 +557,7 @@ class TestAgainstLoopOracles:
         box = BoundingBox(0, 0, 5, 5)
         gt = make_gt([box, box, None, None])
         track = make_track([(box, 0.9, True), (box, 0.2, True), (box, 0.2, True), (box, 0.2, True)])
-        assert longterm_prf(track, gt) == (0.5, 1.0, 2 / 3, 0.2)
+        assert longterm_prf(*columns(track, gt)) == (0.5, 1.0, 2 / 3, 0.2)
 
 
 wide_boxes = st.one_of(
@@ -574,7 +587,7 @@ class TestAgainstPairLoops:
     @given(st.lists(pair_strategy, min_size=0, max_size=40))
     def test_aligned_table(self, frames):
         track, gt = build_sequence(frames)
-        table = aligned_table(track, gt)
+        table = align(*columns(track, gt))
         want = loop_aligned_arrays(track, gt)
         for got, w in zip((table.confidence, table.overlap, table.present), want):
             assert same_bits(got, w)
@@ -589,7 +602,7 @@ class TestAgainstPairLoops:
             (average_overlap, loop_average_overlap, (threshold,)),
             (oxuva_rates, loop_oxuva_rates, (theta, threshold)),
         ]:
-            got, got_exc = raised(fn, track, gt, *args)
+            got, got_exc = raised(fn, *columns(track, gt), *args)
             want, want_exc = raised(loop, track, gt, *args)
             assert got_exc is want_exc
             assert got == want and all(same_bits(g, w) for g, w in zip(got or (), want or ()))
@@ -605,11 +618,39 @@ class TestAgainstPairLoops:
             want = loop_aligned_arrays(track, gt)
         except InvalidInputError as exc:
             with pytest.raises(InvalidInputError, match=str(exc)):
-                aligned_table(track, gt)
+                align(*columns(track, gt))
             return
-        table = aligned_table(track, gt)
+        table = align(*columns(track, gt))
         for got, w in zip((table.confidence, table.overlap, table.present), want):
             assert same_bits(got, w)
+
+
+class TestAlignMasks:
+    def _mask(self, filled):
+        arr = np.zeros((4, 4), dtype=bool)
+        arr.ravel()[:filled] = True
+        return Mask.from_array(arr)
+
+    def test_masks_pair_on_frame_the_last_entry_winning(self):
+        box = BoundingBox(0, 0, 1, 1)
+        track = [
+            TrackEntry(f, Detection(box, 0.5, self._mask(m)), True)
+            for f, m in [(0, 1), (2, 2), (2, 3), (3, 4)]
+        ]
+        gt = GroundtruthSequence(
+            [GroundtruthFrame(f, True, box, self._mask(10 + f)) for f in (2, 3)]
+        )
+        pred_masks, gt_masks = align_masks(*columns(track, gt))
+        assert pred_masks == [self._mask(3), self._mask(4)]
+        assert gt_masks == [self._mask(12), self._mask(13)]
+
+    def test_missing_frame_rejected_as_by_align(self):
+        box = BoundingBox(0, 0, 1, 1)
+        track = [TrackEntry(f, Detection(box, 0.5, self._mask(1)), True) for f in (1, 2)]
+        gt = GroundtruthSequence([GroundtruthFrame(f, True, box, self._mask(1)) for f in (0, 1)])
+        for fn in (align, align_masks):
+            with pytest.raises(InvalidInputError, match="track is missing frame 0"):
+                fn(*columns(track, gt))
 
 
 class TestDavisJ:

@@ -40,6 +40,8 @@ class TestBoundingBox:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
             BoundingBox(float("nan"), 0, 1, 1)
+        with pytest.raises(InvalidInputError, match="box area overflows"):  # w * h is inf
+            BoundingBox(0, 0, 1e200, 1e200)
 
 
 class TestAssignLevel:

@@ -3,7 +3,13 @@ import functools
 import numpy as np
 import pytest
 
-from fpntrack.metrics import GroundtruthFrame, GroundtruthSequence, average_overlap
+from fpntrack.metrics import (
+    GroundtruthColumns,
+    GroundtruthFrame,
+    GroundtruthSequence,
+    TrackColumns,
+    average_overlap,
+)
 from fpntrack.pyramid import extract_template
 from fpntrack.scenarios import (
     SuiteParams,
@@ -40,7 +46,9 @@ def oracle_sequence_ao(spec, template_kind, config, params, **template_kwargs):
         [GroundtruthFrame(f, boxes[ti] is not None, boxes[ti])
          for f, (_, boxes, _) in enumerate(rendered)]
     )
-    ao, _ = average_overlap(track, gt)
+    ao, _ = average_overlap(
+        TrackColumns.from_track(track), GroundtruthColumns.from_groundtruth(gt)
+    )
     return ao
 
 

@@ -444,3 +444,17 @@ class TestBuildTemplate:
         pyr, boxes, _ = render_frame(spec, 0)
         with pytest.raises(InvalidInputError):
             build_template(pyr, boxes[0], "fancy")
+
+    def test_normalize_solves_ridge_on_unit_samples(self):
+        spec = distractor_scene(2)
+        pyr, boxes, _ = render_frame(spec, 0)
+        t = build_template(pyr, boxes[0], "ridge", lam=0.3, num_negatives=64, seed=5,
+                           normalize=True)
+        positive = extract_template(pyr, boxes[0])
+        negs, _ = sample_negatives(pyr, boxes[0], 64, seed=5)
+        unit = [v / np.linalg.norm(v) for v in [positive, *negs]]
+        want = solve_ridge(RegressionProblem.from_samples(unit[0], unit[1:], lam=0.3))
+        assert t.kind == "ridge"
+        assert np.array_equal(t.values, want.values)
+        raw = build_template(pyr, boxes[0], "ridge", lam=0.3, num_negatives=64, seed=5)
+        assert not np.allclose(t.values, raw.values)
