@@ -26,7 +26,7 @@ from .templates import (
     template_mean_pos,
 )
 from .attention import SimilarityMap, attend_pyramid, reweight, similarity
-from .tracker import Detection, Track, TrackerConfig, TrackerState, rerank, run_track, step
+from .tracker import Detection, TrackerConfig, TrackerState, rerank, run_track, step
 from .synth import SceneObject, SceneSpec, render_frame, synth_candidates
 
 __all__ = [name for name in dir() if not name.startswith("_")]

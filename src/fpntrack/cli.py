@@ -169,7 +169,7 @@ def cmd_synth(args) -> int:
         gt_frames.append(gt)
         if init_box is None and boxes[ti] is not None:
             init_box = boxes[ti]
-        frames.append(container.ManifestFrame(f, pyr_path, cand_path, gt))
+        frames.append(container.ManifestFrame(f, pyr_path, cand_path))
     if init_box is None:
         raise UsageError("target is never visible; cannot set an init box")
     container.save_manifest(container.SequenceManifest(init_box, frames), out / "manifest.json")
@@ -404,7 +404,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve-template", help="compute a template from a pyramid + box")
     p.add_argument("--pyramid", required=True)
-    p.add_argument("--box", required=True, help="x,y,w,h")
+    p.add_argument("--box", required=True,
+                   help="x,y,w,h; a box starting with '-' is written --box=-4,-4,8,8")
     p.add_argument("--out", default=None)
     _template_flags(p)
     p.set_defaults(func=cmd_solve_template)
@@ -418,17 +419,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("track", help="run the tracker over a sequence manifest")
     p.add_argument("--sequence", required=True, help="manifest JSON")
-    p.add_argument("--init", default=None, help="x,y,w,h (defaults to manifest init box)")
+    p.add_argument("--init", default=None,
+                   help="x,y,w,h (defaults to manifest init box); a box starting with '-' "
+                        "is written --init=-4,-4,8,8")
     p.add_argument("--out", required=True, help="output tracks JSONL")
     _template_flags(p)
     smooth = p.add_mutually_exclusive_group()
     smooth.add_argument("--smooth", dest="smooth", action="store_true", default=True)
     smooth.add_argument("--no-smooth", dest="smooth", action="store_false")
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--alpha-low", type=float, default=0.1)
-    p.add_argument("--alpha-recover", type=float, default=0.3)
+    p.add_argument("--alpha", type=_unit_fraction, default=0.6)
+    p.add_argument("--alpha-low", type=_unit_fraction, default=0.1)
+    p.add_argument("--alpha-recover", type=_unit_fraction, default=0.3)
     p.add_argument("--recover-frames", type=_positive_int, default=30)
-    p.add_argument("--presence-threshold", type=float, default=0.3)
+    p.add_argument("--presence-threshold", type=_unit_fraction, default=0.3)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="evaluate a track against groundtruth")

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import ContainerError, InvalidInputError
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask
-from .tracker import Track
-from .metrics import GroundtruthColumns, GroundtruthFrame, GroundtruthSequence, TrackColumns
+from .metrics import GroundtruthColumns, GroundtruthSequence, TrackColumns
 
 CONTAINER_VERSION = 1
 
@@ -159,7 +158,6 @@ class ManifestFrame:
     frame: int
     pyramid: Path
     candidates: Optional[Path] = None
-    groundtruth: Optional[GroundtruthFrame] = None
 
 
 @dataclass
@@ -180,13 +178,6 @@ def save_manifest(manifest: SequenceManifest, path) -> None:
         rec = {"frame": f.frame, "pyramid": os.path.relpath(f.pyramid, base)}
         if f.candidates is not None:
             rec["candidates"] = os.path.relpath(f.candidates, base)
-        if f.groundtruth is not None:
-            g = f.groundtruth
-            rec["groundtruth"] = {
-                "present": g.present,
-                "box": g.box.as_list() if g.box else None,
-                "mask": _mask_to_json(g.mask) if g.mask else None,
-            }
         frames.append(rec)
     doc = {"init_box": manifest.init_box.as_list(), "frames": frames}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -210,23 +201,13 @@ def load_manifest(path) -> SequenceManifest:
             frame = int(rec["frame"])
             pyr = base / rec["pyramid"]
             cand = base / rec["candidates"] if rec.get("candidates") else None
-            gt = None
-            if rec.get("groundtruth") is not None:
-                g = rec["groundtruth"]
-                gt = GroundtruthFrame(
-                    frame=frame,
-                    present=bool(g.get("present", False)),
-                    box=_box_from_list(g["box"]) if g.get("box") else None,
-                    mask=_mask_from_json(g["mask"]) if g.get("mask") else None,
-                )
-        except (KeyError, AttributeError, TypeError, ValueError, ContainerError,
-                InvalidInputError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ContainerError(f"{path}: bad manifest frame {i}: {_reason(exc)}") from exc
         if not pyr.is_file():
             raise ContainerError(f"manifest references missing pyramid {pyr}")
         if cand is not None and not cand.is_file():
             raise ContainerError(f"manifest references missing candidates {cand}")
-        frames.append(ManifestFrame(frame, pyr, cand, gt))
+        frames.append(ManifestFrame(frame, pyr, cand))
     return SequenceManifest(init_box, frames)
 
 
@@ -276,17 +257,14 @@ def load_template(path) -> np.ndarray:
     return values
 
 
-def write_tracks(track: Track, path) -> None:
+def write_tracks(track: TrackColumns, path) -> None:
+    rows = zip(track.frame.tolist(), track.box.tolist(), track.confidence.tolist(),
+               track.present.tolist(), track.mask)
     with open(path, "w") as fh:
-        for entry in track:
-            rec = {
-                "frame": entry.frame,
-                "box": entry.detection.box.as_list(),
-                "confidence": entry.detection.confidence,
-                "present": entry.present,
-            }
-            if entry.detection.mask is not None:
-                rec["mask"] = _mask_to_json(entry.detection.mask)
+        for frame, box, confidence, present, mask in rows:
+            rec = {"frame": frame, "box": box, "confidence": confidence, "present": present}
+            if mask is not None:
+                rec["mask"] = _mask_to_json(mask)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -421,13 +399,14 @@ def _frame_value(value) -> int:
 
 
 def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
-    """(N, 4) float64 boxes, each [x, y, w, h] finite with w, h > 0 and 0 < w * h < inf."""
+    """(N, 4) float64 boxes [x, y, w, h], each passing `BoundingBox`'s checks."""
     box = _column(values, _box_values, np.float64, "fiub", (4,), bad, what)
     finite = np.isfinite(box).all(axis=1)
     bad.report_rows(~finite, lambda i: f"bad {what}: non-finite box {tuple(box[i].tolist())}")
     w, h = box[:, 2], box[:, 3]
     with np.errstate(over="ignore"):
         area = w * h
+        edges = box[:, :2] + box[:, 2:]
     bad.report_rows(
         finite & ((w <= 0) | (h <= 0) | (area == 0)),
         lambda i: f"bad {what}: degenerate box: w={w[i]!r}, h={h[i]!r}",
@@ -435,6 +414,10 @@ def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
     bad.report_rows(
         finite & (area == np.inf),
         lambda i: f"bad {what}: box area overflows: w={w[i]!r}, h={h[i]!r}",
+    )
+    bad.report_rows(
+        finite & np.isinf(edges).any(axis=1),
+        lambda i: f"bad {what}: box edge overflows: x + w or y + h of {tuple(box[i].tolist())}",
     )
     return box
 
@@ -482,8 +465,9 @@ def read_tracks(path) -> TrackColumns:
     """A tracks JSONL file as validated columns.
 
     Each non-blank line is one JSON object with `frame`, `box`, `confidence`
-    and `present`, and an optional `mask`. Boxes must be finite with w, h > 0
-    and a finite area, confidences in [0, 1] and frames strictly increasing.
+    and `present`, and an optional `mask`. Boxes must be finite with w, h > 0,
+    a finite area and finite far edges, confidences in [0, 1] and frames
+    strictly increasing.
     The first bad record is named as <path>:<line> in a ContainerError.
     """
     lines, records, parse_error = _jsonl_objects(path, "track record")
@@ -523,7 +507,8 @@ def read_groundtruth(path) -> GroundtruthColumns:
 
     Each non-blank line is one JSON object with `frame` and `present`, a
     `box` where the target is present, and an optional `mask`. Boxes must be
-    finite with w, h > 0 and a finite area, and frames strictly increasing.
+    finite with w, h > 0, a finite area and finite far edges, and frames
+    strictly increasing.
     The first bad record is named as <path>:<line> in a ContainerError.
     """
     lines, records, parse_error = _jsonl_objects(path, "groundtruth")

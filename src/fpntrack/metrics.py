@@ -1,12 +1,12 @@
 """Benchmark metrics: AO/SR, TPR/TNR/GM with ROC-AUC, long-term P/R/F, J stats.
 
-Tracks and groundtruth are scored as columns: `TrackColumns` and
-`GroundtruthColumns`, which `container` reads straight from JSONL and
-`from_track`/`from_groundtruth` make from objects. The box protocols (GOT,
-OxUvA, LTB35) read one `AlignedTable`, which `align` builds: the track joined
-to its groundtruth by frame, with one row of confidence, overlap and presence
-per groundtruth frame. `align_masks` joins the masks the same way for
-`davis_j`, which takes per-frame masks.
+Tracks and groundtruth are scored as columns: `TrackColumns`, which
+`tracker.run_track` returns and `container` reads and writes, and
+`GroundtruthColumns`, which `container` reads and `from_groundtruth` makes
+from objects. The box protocols (GOT, OxUvA, LTB35) read one `AlignedTable`,
+which `align` builds: the track joined to its groundtruth by frame, with one
+row of confidence, overlap and presence per groundtruth frame. `align_masks`
+joins the masks the same way for `davis_j`, which takes per-frame masks.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class GroundtruthSequence:
 
 @dataclass(frozen=True)
 class TrackColumns:
-    """A track as columns, one row per entry in entry order."""
+    """A track as columns, one row per frame, frames strictly increasing."""
 
     frame: np.ndarray  # (N,) int64
     box: np.ndarray  # (N, 4) float64, [x, y, w, h]
@@ -80,16 +80,9 @@ class TrackColumns:
     present: np.ndarray  # (N,) bool
     mask: tuple  # (N,) Mask, or None where an entry has none
 
-    @classmethod
-    def from_track(cls, track) -> "TrackColumns":
-        entries = list(track)
-        return cls(
-            np.array([e.frame for e in entries], dtype=np.int64),
-            np.array([e.detection.box.as_list() for e in entries], dtype=np.float64).reshape(-1, 4),
-            np.array([e.detection.confidence for e in entries], dtype=np.float64),
-            np.array([e.present for e in entries], dtype=bool),
-            tuple(e.detection.mask for e in entries),
-        )
+    def __post_init__(self):
+        if np.any(self.frame[1:] <= self.frame[:-1]):
+            raise InvalidInputError("track frame indices must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -228,20 +221,15 @@ class AlignedTable:
 def _track_rows(track: TrackColumns, gt: GroundtruthColumns) -> np.ndarray:
     """The track row of each groundtruth frame, found with one binary search.
 
-    Where the track repeats a frame, its last entry counts. Raises
-    InvalidInputError naming the first groundtruth frame the track lacks.
+    Raises InvalidInputError naming the first groundtruth frame the track lacks.
     """
     frame = track.frame
-    order = None
-    if np.any(frame[1:] <= frame[:-1]):
-        order = np.argsort(frame, kind="stable")
-        frame = frame[order]
-    row = np.searchsorted(frame, gt.frame, side="right") - 1
-    found = row >= 0
+    row = np.searchsorted(frame, gt.frame)
+    found = row < frame.size
     found[found] = frame[row[found]] == gt.frame[found]
     if not found.all():
         raise InvalidInputError(f"track is missing frame {int(gt.frame[np.argmin(found)])}")
-    return row if order is None else order[row]
+    return row
 
 
 def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:

@@ -39,6 +39,8 @@ class BoundingBox:
             raise InvalidInputError(f"degenerate box: w={self.w}, h={self.h}")
         if self.w * self.h == math.inf:
             raise InvalidInputError(f"box area overflows: w={self.w}, h={self.h}")
+        if math.isinf(self.x + self.w) or math.isinf(self.y + self.h):
+            raise InvalidInputError(f"box edge overflows: x + w or y + h of {vals}")
 
     @property
     def x2(self) -> float:

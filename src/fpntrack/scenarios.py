@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import GroundtruthColumns, GroundtruthFrame, TrackColumns, average_overlap
+from .metrics import GroundtruthColumns, GroundtruthFrame, average_overlap
 from .pyramid import BoundingBox, FeaturePyramid
 from .synth import (
     SceneObject,
@@ -126,7 +126,7 @@ def scene_ao(
     track = run_track(
         frames, scene.init_box, scene.init_pyramid, config, template_kind, **template_kwargs
     )
-    ao, _ = average_overlap(TrackColumns.from_track(track), scene.groundtruth)
+    ao, _ = average_overlap(track, scene.groundtruth)
     return ao
 
 

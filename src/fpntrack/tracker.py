@@ -4,18 +4,26 @@ Smoothing blends detector confidence with overlap against the previous
 selection: c <- alpha * c + (1 - alpha) * overlap. A break/recover state
 machine disables smoothing when consecutive selections jump (IoU below
 alpha_low) and re-enables it after recover_frames consecutive selections
-with IoU above alpha_recover, so the tracker cannot latch onto a
-distractor through the smoothness term.
+with IoU above alpha_recover.
+
+The machine does not keep the tracker off a distractor in every case. While
+the target is absent the selection jumps to the distractor, which breaks
+smoothing; after recover_frames frames on the distractor smoothing is back
+on, and when the target returns the distractor's overlap term outweighs the
+target's higher confidence, so the selection stays on the distractor. On the
+1000-frame `longterm` benchmark scene (target absent on two 100-frame
+stretches) AO is about 0.35 with smoothing and 0.90 without.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .metrics import TrackColumns
 from .pyramid import BoundingBox, FeaturePyramid, Mask, box_iou, mask_iou
 from .templates import TemplateVector, build_template
 
@@ -54,29 +62,6 @@ class TrackerState:
     previous: Optional[Detection] = None
     smoothing_active: bool = True
     consecutive_smooth: int = 0
-
-
-@dataclass(frozen=True)
-class TrackEntry:
-    frame: int
-    detection: Detection
-    present: bool
-
-
-@dataclass
-class Track:
-    entries: list[TrackEntry] = field(default_factory=list)
-
-    def __post_init__(self):
-        frames = [e.frame for e in self.entries]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise InvalidInputError("track frame indices must be strictly increasing")
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def overlap(a: Detection, b: Detection) -> float:
@@ -145,31 +130,34 @@ def step(
     return new_state, selected, present
 
 
-FrameCandidates = Union[Sequence[Detection], Callable[[TemplateVector], Sequence[Detection]]]
-
-
 def run_track(
-    frames: Sequence[FrameCandidates],
+    frames: Sequence[Callable[[TemplateVector], Sequence[Detection]]],
     init_box: BoundingBox,
     init_pyramid: FeaturePyramid,
     config: TrackerConfig,
     template_kind: str = "ridge",
     **template_kwargs,
-) -> Track:
-    """Track through a sequence of candidate lists with a first-frame template.
+) -> TrackColumns:
+    """Track through a sequence of frames with a first-frame template.
 
-    Each frame entry is either a pre-scored list of detections or a callable
-    taking the built template and returning scored detections (the pluggable
-    candidate-detector interface). The template is built once from frame 0
-    and never updated.
+    Each frame is a callable taking the built template and returning scored
+    detections (the pluggable candidate-detector interface). The template is
+    built once from frame 0 and never updated. Frame i of the track is the
+    i-th entry of `frames`.
     """
     if not frames:
         raise InvalidInputError("sequence must be non-empty")
     template = build_template(init_pyramid, init_box, template_kind, **template_kwargs)
     state = TrackerState()
-    entries = []
-    for i, frame in enumerate(frames):
-        candidates = frame(template) if callable(frame) else frame
-        state, selected, present = step(state, candidates, config)
-        entries.append(TrackEntry(i, selected, present))
-    return Track(entries)
+    selected, present = [], []
+    for frame in frames:
+        state, detection, is_present = step(state, frame(template), config)
+        selected.append(detection)
+        present.append(is_present)
+    return TrackColumns(
+        np.arange(len(selected), dtype=np.int64),
+        np.array([d.box.as_list() for d in selected], dtype=np.float64),
+        np.array([d.confidence for d in selected], dtype=np.float64),
+        np.array(present, dtype=bool),
+        tuple(d.mask for d in selected),
+    )

@@ -441,6 +441,17 @@ class TestMalformedJsonl:
         assert rc == 1
         assert f"{bad_file}.jsonl:2:" in err and "box area overflows" in err
 
+    @pytest.mark.parametrize("bad_file", ["tracks", "gt"])
+    def test_box_whose_edge_overflows_is_user_error(self, tmp_path, capsys, bad_file):
+        # a finite area but an infinite x + w: the overlap would be NaN
+        far = [1e308, 0, 1e308, 1]
+        track, gt = dict(self.TRACK, frame=1), dict(self.GT, frame=1)
+        (track if bad_file == "tracks" else gt)["box"] = far
+        rc = self.run_eval(tmp_path, track, gt)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{bad_file}.jsonl:2:" in err and "box edge overflows" in err
+
     def test_track_frame_that_does_not_increase_names_its_line(self, tmp_path, capsys):
         rc = self.run_eval(tmp_path, dict(self.TRACK, frame=0), dict(self.GT, frame=1))
         err = capsys.readouterr().err
@@ -512,6 +523,12 @@ class TestMalformedSequence:
         rc, err = self.run_track(seq, capsys)
         assert rc == 1
         assert "manifest.json: bad manifest frame 1:" in err and "'x'" in err
+
+    def test_manifest_frame_index_infinite_is_user_error(self, seq, capsys):
+        self.edit_manifest_frame(seq, frame=float("inf"))  # written as Infinity
+        rc, err = self.run_track(seq, capsys)
+        assert rc == 1
+        assert "manifest.json: bad manifest frame 1:" in err and "infinity" in err
 
     def test_manifest_frame_pyramid_that_is_a_directory_is_user_error(self, seq, capsys):
         self.edit_manifest_frame(seq, pyramid="")
@@ -630,6 +647,21 @@ class TestValueFlags:
         assert main([command, *required, f"{flag}={value}"]) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a non-negative finite number, got '{value}'" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha", "nan"), ("--alpha", "1.5"), ("--alpha-low", "-0.1"),
+         ("--alpha-recover", "inf"), ("--presence-threshold", "2")],
+    )
+    def test_track_smoothing_value_outside_unit_interval(
+        self, scene_dir, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "t.jsonl"
+        rc = main(["track", "--sequence", str(scene_dir / "manifest.json"),
+                   "--out", str(out), f"{flag}={value}"])
+        assert rc == 1
+        assert f"argument {flag}: must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_calls_parse_independently(self, capsys):
         assert main(["gradcheck", "--dim", "2", "--negatives", "0", "--tolerance", "0"]) == 2

@@ -22,9 +22,8 @@ from fpntrack.container import (
     write_tracks,
 )
 from fpntrack.errors import ContainerError
-from fpntrack.metrics import GroundtruthFrame, GroundtruthSequence
+from fpntrack.metrics import GroundtruthFrame, GroundtruthSequence, TrackColumns
 from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask
-from fpntrack.tracker import Detection, Track, TrackEntry
 
 
 def small_pyramid(seed=0, depth=3, base=8):
@@ -159,24 +158,33 @@ class TestManifest:
         cand_path = tmp_path / "c0.json"
         save_candidates([BoundingBox(1, 2, 3, 4)], cand_path, confidences=[0.5])
         manifest = SequenceManifest(
-            BoundingBox(0, 0, 10, 10),
-            [
-                ManifestFrame(
-                    0,
-                    pyr_path,
-                    cand_path,
-                    GroundtruthFrame(0, True, BoundingBox(0, 0, 10, 10)),
-                )
-            ],
+            BoundingBox(0, 0, 10, 10), [ManifestFrame(0, pyr_path, cand_path)]
         )
         path = tmp_path / "manifest.json"
         save_manifest(manifest, path)
+        assert json.loads(path.read_text()) == {
+            "init_box": [0, 0, 10, 10],
+            "frames": [{"frame": 0, "pyramid": "f0.fpyr", "candidates": "c0.json"}],
+        }
         loaded = load_manifest(path)
-        assert loaded.init_box == manifest.init_box
-        assert loaded.frames[0].groundtruth.box == BoundingBox(0, 0, 10, 10)
+        assert loaded == manifest
         assert load_candidates(loaded.frames[0].candidates) == [
             (BoundingBox(1, 2, 3, 4), 0.5)
         ]
+
+    def test_groundtruth_block_of_older_manifests_ignored(self, tmp_path):
+        # manifests once carried a per-frame groundtruth copy; gt.jsonl is the one read
+        pyr_path = tmp_path / "f0.fpyr"
+        write_container(small_pyramid(), pyr_path)
+        gt = {"present": True, "box": [0, 0, 10, 10], "mask": {"size": [2, 2], "runs": [4]}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "init_box": [0, 0, 10, 10],
+            "frames": [{"frame": 0, "pyramid": "f0.fpyr", "groundtruth": gt}],
+        }))
+        assert load_manifest(path) == SequenceManifest(
+            BoundingBox(0, 0, 10, 10), [ManifestFrame(0, pyr_path)]
+        )
 
     def test_missing_pyramid_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -201,11 +209,12 @@ class TestManifest:
 class TestTrackJsonl:
     def test_roundtrip_with_mask(self, tmp_path):
         mask = Mask.from_box(BoundingBox(0, 0, 2, 2), 4, 4)
-        track = Track(
-            [
-                TrackEntry(0, Detection(BoundingBox(1, 2, 3, 4), 0.25, mask), True),
-                TrackEntry(3, Detection(BoundingBox(0, 0, 1, 1), 0.0), False),
-            ]
+        track = TrackColumns(
+            np.array([0, 3]),
+            np.array([[1, 2, 3, 4], [0, 0, 1, 1]], dtype=np.float64),
+            np.array([0.25, 0.0]),
+            np.array([True, False]),
+            (mask, None),
         )
         path = tmp_path / "tracks.jsonl"
         write_tracks(track, path)

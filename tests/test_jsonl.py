@@ -1,13 +1,15 @@
 """The columnar track/groundtruth JSONL readers against per-record oracles.
 
-The oracles are per-line readers building `Track`/`GroundtruthSequence`
-objects, and the readers' columns are compared with the oracle objects'
-columns (`from_track`/`from_groundtruth`), masks included. The oracles are
-the older per-line readers with two deliberate changes, both to name the
-line where the old code did not: the strictly-increasing frame check runs
-per record (the old readers left it to the `Track`/`GroundtruthSequence`
-constructors, whose error named no line), and an OverflowError (an
-`Infinity` frame, say) is a bad record instead of escaping as a traceback.
+The oracles are per-line readers: the track oracle checks one record at a
+time and builds `TrackColumns` from the checked values, the groundtruth
+oracle builds a `GroundtruthSequence` whose columns (`from_groundtruth`) are
+compared. The readers' columns must equal the oracles', masks included. The
+oracles are the older per-line readers with two deliberate changes, both to
+name the line where the old code did not: the strictly-increasing frame check
+runs per record (the old readers left it to the track and
+`GroundtruthSequence` constructors, whose error named no line), and an
+OverflowError (an `Infinity` frame, say) is a bad record instead of escaping
+as a traceback.
 """
 
 import json
@@ -27,7 +29,7 @@ from fpntrack.metrics import (
     TrackColumns,
 )
 from fpntrack.pyramid import BoundingBox
-from fpntrack.tracker import Detection, Track, TrackEntry
+from fpntrack.tracker import Detection
 
 # ---------------------------------------------------------------- oracles
 
@@ -51,8 +53,8 @@ def oracle_box(vals) -> BoundingBox:
     return BoundingBox(*[float(v) for v in vals])
 
 
-def oracle_read_tracks(path) -> Track:
-    entries = []
+def oracle_read_tracks(path) -> TrackColumns:
+    frames, detections, presents = [], [], []
     for lineno, rec in oracle_jsonl_records(path, "track record"):
         try:
             box, confidence, frame, present = rec["box"], rec["confidence"], rec["frame"], rec["present"]
@@ -64,10 +66,18 @@ def oracle_read_tracks(path) -> Track:
             frame = int(frame)
         except (TypeError, ValueError, OverflowError, ContainerError, InvalidInputError) as exc:
             raise ContainerError(f"{path}:{lineno}: bad track record: {exc}") from exc
-        if entries and frame <= entries[-1].frame:
+        if frames and frame <= frames[-1]:
             raise ContainerError(f"{path}:{lineno}: frames must be strictly increasing")
-        entries.append(TrackEntry(frame, det, bool(present)))
-    return Track(entries)
+        frames.append(frame)
+        detections.append(det)
+        presents.append(bool(present))
+    return TrackColumns(
+        np.array(frames, dtype=np.int64),
+        np.array([d.box.as_list() for d in detections], dtype=np.float64).reshape(-1, 4),
+        np.array([d.confidence for d in detections], dtype=np.float64),
+        np.array(presents, dtype=bool),
+        tuple(d.mask for d in detections),
+    )
 
 
 def oracle_read_groundtruth(path) -> GroundtruthSequence:
@@ -213,7 +223,7 @@ class TestAgainstOracles:
         got, got_error = outcome(read_tracks, path)
         assert got_error == want_error
         if want is not None:
-            check_columns(got, TrackColumns.from_track(want))
+            check_columns(got, want)
 
     @SETTINGS
     @given(jsonl_text("groundtruth"))
@@ -251,7 +261,7 @@ class TestCases:
         path.write_text("".join(
             json.dumps(dict(TRACK, frame=f, note="}{")) + "\n" for f in range(3)
         ))
-        check_columns(read_tracks(path), TrackColumns.from_track(oracle_read_tracks(path)))
+        check_columns(read_tracks(path), oracle_read_tracks(path))
         assert read_tracks(path).frame.tolist() == [0, 1, 2]
 
     def test_frame_beyond_int64_is_refused(self, tmp_path):

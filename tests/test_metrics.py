@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,17 +26,34 @@ from fpntrack.metrics import (
 )
 from fpntrack.pyramid import BoundingBox, Mask
 from fpntrack.synth import philox
-from fpntrack.tracker import Detection, Track, TrackEntry
+
+
+def track_of(rows):
+    """rows: list of (frame, box, confidence, present, mask or None)."""
+    return TrackColumns(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1].as_list() for r in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([r[2] for r in rows], dtype=np.float64),
+        np.array([r[3] for r in rows], dtype=bool),
+        tuple(r[4] for r in rows),
+    )
 
 
 def make_track(records):
-    """records: list of (box, confidence, present)."""
-    return Track(
-        [
-            TrackEntry(i, Detection(box, conf), present)
-            for i, (box, conf, present) in enumerate(records)
-        ]
-    )
+    """records: list of (box, confidence, present), one per frame from 0."""
+    return track_of([(i, box, conf, present, None)
+                     for i, (box, conf, present) in enumerate(records)])
+
+
+Entry = namedtuple("Entry", "frame box confidence")
+
+
+def entries(track):
+    """A track's rows, one at a time, for the loop oracles."""
+    return [
+        Entry(f, BoundingBox(*b), c)
+        for f, b, c in zip(track.frame.tolist(), track.box.tolist(), track.confidence.tolist())
+    ]
 
 
 def make_gt(boxes):
@@ -46,7 +65,7 @@ def make_gt(boxes):
 
 def columns(track, gt):
     """A track and a groundtruth sequence as the columns the metrics take."""
-    return TrackColumns.from_track(track), GroundtruthColumns.from_groundtruth(gt)
+    return track, GroundtruthColumns.from_groundtruth(gt)
 
 
 boxes_strategy = st.builds(
@@ -56,6 +75,14 @@ boxes_strategy = st.builds(
     st.floats(0.5, 60),
     st.floats(0.5, 60),
 )
+
+
+class TestTrackColumns:
+    @pytest.mark.parametrize("frames", [[0, 0, 1], [0, 2, 1]], ids=["repeated", "decreasing"])
+    def test_frames_strictly_increasing(self, frames):
+        box = BoundingBox(0, 0, 5, 5)
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            track_of([(f, box, 0.5, True, None) for f in frames])
 
 
 class TestBoxIou:
@@ -311,27 +338,27 @@ class TestLongtermPrf:
             ]
         )
         p, r, f, theta = longterm_prf(*columns(track, gt))
-        pairs = list(zip(track, gt))
-        for other_theta in {e.detection.confidence for e, _ in pairs}:
+        pairs = list(zip(entries(track), gt))
+        for other_theta in {e.confidence for e, _ in pairs}:
             preds = [
-                box_iou(e.detection.box, g.box) if g.present else 0.0
+                box_iou(e.box, g.box) if g.present else 0.0
                 for e, g in pairs
-                if e.detection.confidence >= other_theta
+                if e.confidence >= other_theta
             ]
             if not preds:
                 continue
             op = float(np.mean(preds))
             orr = sum(
-                box_iou(e.detection.box, g.box)
+                box_iou(e.box, g.box)
                 for e, g in pairs
-                if g.present and e.detection.confidence >= other_theta
+                if g.present and e.confidence >= other_theta
             ) / sum(1 for _, g in pairs if g.present)
             assert f >= f_measure(op, orr) - 1e-12
 
 
 def _aligned(track, gt):
-    """Reference alignment: (entry, groundtruth frame) pairs, the last entry of a frame winning."""
-    pred = {e.frame: e for e in track}
+    """Reference alignment: (entry, groundtruth frame) pairs."""
+    pred = {e.frame: e for e in entries(track)}
     pairs = []
     for g in gt:
         if g.frame not in pred:
@@ -343,13 +370,13 @@ def _aligned(track, gt):
 def _frame_overlap(entry, g):
     if g.box is None:
         return 0.0
-    return box_iou(entry.detection.box, g.box)
+    return box_iou(entry.box, g.box)
 
 
 def loop_aligned_arrays(track, gt):
     """Reference aligned table: (confidence, overlap, gt-present), one pair at a time."""
     pairs = _aligned(track, gt)
-    confidence = np.array([e.detection.confidence for e, _ in pairs], dtype=float)
+    confidence = np.array([e.confidence for e, _ in pairs], dtype=float)
     overlap = np.array([_frame_overlap(e, g) for e, g in pairs], dtype=float)
     present = np.array([g.present for _, g in pairs], dtype=bool)
     return confidence, overlap, present
@@ -367,7 +394,7 @@ def loop_average_overlap(track, gt, sr_threshold=0.5):
 def loop_oxuva_rates(track, gt, theta, iou_threshold=0.5):
     tp = pos = tn = neg = 0
     for e, g in _aligned(track, gt):
-        predicted_present = e.detection.confidence >= theta
+        predicted_present = e.confidence >= theta
         if g.present:
             pos += 1
             if predicted_present and _frame_overlap(e, g) > iou_threshold:
@@ -385,7 +412,7 @@ def loop_oxuva_rates(track, gt, theta, iou_threshold=0.5):
 
 def loop_roc_curve(track, gt, iou_threshold=0.5):
     """Reference ROC: `oxuva_rates` evaluated at every threshold, O(N^2)."""
-    confidences = sorted({e.detection.confidence for e in track})
+    confidences = sorted({e.confidence for e in entries(track)})
     thetas = [0.0] + confidences + [np.nextafter(max(confidences, default=0.0) + 1, np.inf)]
     points = []
     cols = columns(track, gt)
@@ -407,19 +434,19 @@ def loop_longterm_prf(track, gt):
     n_present = sum(1 for _, g in pairs if g.present)
     if n_present == 0:
         raise UndefinedMetricError("no groundtruth-present frames")
-    thetas = sorted({e.detection.confidence for e, _ in pairs})
+    thetas = sorted({e.confidence for e, _ in pairs})
     best = (0.0, 0.0, -1.0, 0.0)
     fs = []
     for theta in thetas:
         overlaps_pred = [
-            _frame_overlap(e, g) for e, g in pairs if e.detection.confidence >= theta
+            _frame_overlap(e, g) for e, g in pairs if e.confidence >= theta
         ]
         p = float(np.mean(overlaps_pred))
         r = (
             sum(
                 _frame_overlap(e, g)
                 for e, g in pairs
-                if g.present and e.detection.confidence >= theta
+                if g.present and e.confidence >= theta
             )
             / n_present
         )
@@ -454,9 +481,7 @@ frame_strategy = st.fixed_dictionaries(
 
 
 def build_sequence(frames):
-    track = Track(
-        [TrackEntry(i, Detection(f["pred_box"], f["confidence"]), True) for i, f in enumerate(frames)]
-    )
+    track = make_track([(f["pred_box"], f["confidence"], True) for f in frames])
     gt = GroundtruthSequence(
         [
             GroundtruthFrame(i, f["kind"] == 0, None if f["kind"] == 1 else f["gt_box"])
@@ -537,20 +562,6 @@ class TestAgainstLoopOracles:
             with pytest.raises(InvalidInputError):
                 fn(*columns(track, gt))
 
-    def test_last_entry_wins_for_a_duplicated_frame(self):
-        box = BoundingBox(0, 0, 5, 5)
-        gt = make_gt([box, None])
-        track = [
-            TrackEntry(0, Detection(BoundingBox(20, 20, 5, 5), 0.9), True),
-            TrackEntry(0, Detection(box, 0.6), True),
-            TrackEntry(1, Detection(box, 0.3), True),
-        ]
-        for got, want in zip(roc_curve(*columns(track, gt)), loop_roc_curve(track, gt)):
-            np.testing.assert_array_equal(got, want)
-        # the 0.9 entry is overwritten, so 0.9 is no LTB35 threshold
-        want = loop_longterm_prf(track, gt)[0]
-        assert longterm_prf(*columns(track, gt)) == want == (1.0, 1.0, 1.0, 0.6)
-
     def test_f_tie_reports_smallest_theta(self):
         # theta 0.9 predicts only frame 0: P = 1, R = 1/2, F = 2/3.
         # theta 0.2 predicts all four: P = 2/4, R = 2/2, F = 2/3 again.
@@ -591,7 +602,7 @@ class TestAgainstPairLoops:
         want = loop_aligned_arrays(track, gt)
         for got, w in zip((table.confidence, table.overlap, table.present), want):
             assert same_bits(got, w)
-        assert same_bits(table.track_confidence, [e.detection.confidence for e in track])
+        assert same_bits(table.track_confidence, [e.confidence for e in entries(track)])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(pair_strategy, min_size=1, max_size=40),
@@ -610,9 +621,16 @@ class TestAgainstPairLoops:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 6), confidences_strategy, small_boxes), max_size=12),
            st.lists(st.one_of(st.none(), small_boxes), min_size=1, max_size=6))
-    def test_unsorted_and_repeated_frames(self, entries, boxes):
-        # a plain list of entries may repeat frames or leave some out
-        track = [TrackEntry(f, Detection(b, c), True) for f, c, b in entries]
+    def test_unsorted_and_repeated_frames(self, rows, boxes):
+        # a track refuses frames out of order or repeated; in order, once each,
+        # its frames may still leave groundtruth frames out
+        rows = [(f, b, c, True, None) for f, c, b in rows]
+        frames = [r[0] for r in rows]
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                track_of(rows)
+            rows = sorted({r[0]: r for r in rows}.values(), key=lambda r: r[0])
+        track = track_of(rows)
         gt = make_gt(boxes)
         try:
             want = loop_aligned_arrays(track, gt)
@@ -631,12 +649,9 @@ class TestAlignMasks:
         arr.ravel()[:filled] = True
         return Mask.from_array(arr)
 
-    def test_masks_pair_on_frame_the_last_entry_winning(self):
+    def test_masks_pair_on_frame(self):
         box = BoundingBox(0, 0, 1, 1)
-        track = [
-            TrackEntry(f, Detection(box, 0.5, self._mask(m)), True)
-            for f, m in [(0, 1), (2, 2), (2, 3), (3, 4)]
-        ]
+        track = track_of([(f, box, 0.5, True, self._mask(m)) for f, m in [(0, 1), (2, 3), (3, 4)]])
         gt = GroundtruthSequence(
             [GroundtruthFrame(f, True, box, self._mask(10 + f)) for f in (2, 3)]
         )
@@ -646,7 +661,7 @@ class TestAlignMasks:
 
     def test_missing_frame_rejected_as_by_align(self):
         box = BoundingBox(0, 0, 1, 1)
-        track = [TrackEntry(f, Detection(box, 0.5, self._mask(1)), True) for f in (1, 2)]
+        track = track_of([(f, box, 0.5, True, self._mask(1)) for f in (1, 2)])
         gt = GroundtruthSequence([GroundtruthFrame(f, True, box, self._mask(1)) for f in (0, 1)])
         for fn in (align, align_masks):
             with pytest.raises(InvalidInputError, match="track is missing frame 0"):

@@ -43,6 +43,12 @@ class TestBoundingBox:
         with pytest.raises(InvalidInputError, match="box area overflows"):  # w * h is inf
             BoundingBox(0, 0, 1e200, 1e200)
 
+    @pytest.mark.parametrize("box", [(1e308, 0, 1e308, 1), (0, 1e308, 1, 1e308)])
+    def test_rejects_edge_that_overflows(self, box):
+        # w * h is finite, but x + w (or y + h) is inf, so no overlap could be scored
+        with pytest.raises(InvalidInputError, match="box edge overflows"):
+            BoundingBox(*box)
+
 
 class TestAssignLevel:
     def test_canonical_box_maps_to_base_level(self):

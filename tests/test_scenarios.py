@@ -7,7 +7,6 @@ from fpntrack.metrics import (
     GroundtruthColumns,
     GroundtruthFrame,
     GroundtruthSequence,
-    TrackColumns,
     average_overlap,
 )
 from fpntrack.pyramid import extract_template
@@ -46,9 +45,7 @@ def oracle_sequence_ao(spec, template_kind, config, params, **template_kwargs):
         [GroundtruthFrame(f, boxes[ti] is not None, boxes[ti])
          for f, (_, boxes, _) in enumerate(rendered)]
     )
-    ao, _ = average_overlap(
-        TrackColumns.from_track(track), GroundtruthColumns.from_groundtruth(gt)
-    )
+    ao, _ = average_overlap(track, GroundtruthColumns.from_groundtruth(gt))
     return ao
 
 

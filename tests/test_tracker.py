@@ -7,8 +7,6 @@ from fpntrack.pyramid import BoundingBox, Mask
 from fpntrack.scenarios import distractor_scene, sequence_ao
 from fpntrack.tracker import (
     Detection,
-    Track,
-    TrackEntry,
     TrackerConfig,
     TrackerState,
     overlap,
@@ -178,10 +176,12 @@ class TestRunTrack:
         pyr, boxes, _ = render_frame(spec, 0)
         init = boxes[0]
         cand = Detection(init, 1.0)
-        track = run_track([[cand]], init, pyr, TrackerConfig(), "center")
-        assert len(track) == 1
-        assert track.entries[0].present
-        assert track.entries[0].detection.box == init
+        track = run_track([lambda template: [cand]], init, pyr, TrackerConfig(), "center")
+        assert track.frame.tolist() == [0]
+        assert track.present.tolist() == [True]
+        assert track.box.tolist() == [init.as_list()]
+        assert track.confidence.tolist() == [1.0]
+        assert track.mask == (None,)
 
     def test_smoothing_irrelevant_for_identical_candidates(self):
         # jitter-free candidates: overlaps never change the argmax
@@ -197,15 +197,16 @@ class TestRunTrack:
     def test_stateless_mode_is_order_free_per_frame(self):
         # without smoothing each frame is an independent argmax
         config = TrackerConfig(smoothing_enabled=False)
-        frames = [[det(0, 0.3), det(10, 0.6)], [det(5, 0.9), det(0, 0.1)]]
+        frames = [lambda template: [det(0, 0.3), det(10, 0.6)],
+                  lambda template: [det(5, 0.9), det(0, 0.1)]]
         spec = distractor_scene(1)
         from fpntrack.synth import render_frame
 
         pyr, boxes, _ = render_frame(spec, 0)
         track_fwd = run_track(frames, boxes[0], pyr, config, "center")
         track_rev = run_track(frames[::-1], boxes[0], pyr, config, "center")
-        assert track_fwd.entries[0].detection.box == track_rev.entries[1].detection.box
-        assert track_fwd.entries[1].detection.box == track_rev.entries[0].detection.box
+        assert track_fwd.frame.tolist() == track_rev.frame.tolist() == [0, 1]
+        assert track_fwd.box.tolist() == track_rev.box[::-1].tolist()
 
     def test_empty_sequence_rejected(self):
         spec = distractor_scene(1)
@@ -217,11 +218,6 @@ class TestRunTrack:
 
 
 class TestTrackValidation:
-    def test_frames_strictly_increasing(self):
-        entries = [TrackEntry(0, det(0, 0.5), True), TrackEntry(0, det(0, 0.5), True)]
-        with pytest.raises(InvalidInputError):
-            Track(entries)
-
     def test_confidence_bounds_enforced(self):
         with pytest.raises(InvalidInputError):
             Detection(BoundingBox(0, 0, 1, 1), 1.5)
