@@ -8,13 +8,14 @@ ridge-vs-center gap.
 import argparse
 import json
 
+from fpntrack.cli import positive_int
 from fpntrack.scenarios import SuiteParams, bootstrap_lower_bound, distractor_suite_ao
 from fpntrack.templates import TEMPLATE_KINDS
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sequences", type=int, default=200)
+    parser.add_argument("--sequences", type=positive_int, default=200)
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--overlap", type=float, default=0.95,
                         help="cosine between target and distractor identities")

@@ -7,12 +7,13 @@ seeded scenes and reports the average-overlap gain.
 import argparse
 import json
 
+from fpntrack.cli import positive_int
 from fpntrack.scenarios import SuiteParams, smoothing_suite_ao
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sequences", type=int, default=100)
+    parser.add_argument("--sequences", type=positive_int, default=100)
     parser.add_argument("--base-seed", type=int, default=1000)
     parser.add_argument("--jitter", type=float, default=0.05)
     parser.add_argument("--template-mode", default="center",

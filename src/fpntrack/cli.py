@@ -1,7 +1,8 @@
 """Command-line interface: synth, solve-template, attend, track, eval, gradcheck.
 
-Exit codes: 0 success, 1 user error, 2 internal error. Diagnostics go to
-stderr; machine-readable output goes to files or stdout.
+Exit codes: 0 success, 1 user error or a failed check (a gradcheck FAIL),
+2 internal error. Diagnostics go to stderr; machine-readable output goes to
+files or stdout.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ def _int_at_least(text: str, least: int, kind: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1, so the error names the flag."""
+def positive_int(text: str) -> int:
+    """argparse type for a count of at least 1, so the error names the flag.
+
+    The experiment scripts use it for their counts too.
+    """
     return _int_at_least(text, 1, "a positive integer")
 
 
@@ -85,13 +89,40 @@ def _unit_fraction(text: str) -> float:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for a step: a finite number above 0."""
+    """argparse type for a step or tolerance: a finite number above 0."""
     return _float_where(text, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
 def _nonnegative_float(text: str) -> float:
     """argparse type for lambda or jitter: a finite number of at least 0."""
     return _float_where(text, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
+
+
+def _finite_numbers(value, count: int, key: str) -> list[float]:
+    """A list of `count` finite numbers as floats; ValueError naming `key` otherwise."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+        raise ValueError(f"{key} must be {count} finite numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+def _scene_object_fields(obj) -> tuple[BoundingBox, float, float, list[int]]:
+    """One scene object's start box, velocity and absent frames; ValueError if bad."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not a JSON object: {obj!r}")
+    if "start" not in obj:
+        raise ValueError("missing field 'start'")
+    try:
+        start = BoundingBox(*_finite_numbers(obj["start"], 4, "start"))
+    except InvalidInputError as exc:
+        raise ValueError(f"start {obj['start']!r}: {exc}") from exc
+    vx, vy = _finite_numbers(obj.get("velocity", [0, 0]), 2, "velocity")
+    absent = obj.get("absent_frames", [])
+    if not (isinstance(absent, list)
+            and all(isinstance(f, int) and not isinstance(f, bool) for f in absent)):
+        raise ValueError(f"absent_frames must be a list of ints, got {absent!r}")
+    return start, vx, vy, absent
 
 
 def scene_from_json(doc: dict) -> SceneSpec:
@@ -102,22 +133,32 @@ def scene_from_json(doc: dict) -> SceneSpec:
        "noise_sigma": s, "distractor_overlap": o,
        "objects": [{"start": [x, y, w, h], "velocity": [vx, vy],
                     "is_target": bool, "absent_frames": [f, ...]}, ...]}
+
+    D is at least 1. Each object needs `start`, 4 finite numbers with w, h > 0;
+    `velocity` is 2 finite numbers and `absent_frames` a list of ints. A bad
+    object is a UsageError naming its index.
     """
     try:
         height, width = doc["image_size"]
         num_frames = int(doc["num_frames"])
         obj_docs = doc["objects"]
-    except (KeyError, TypeError, ValueError) as exc:
+        depth = int(doc.get("depth", 16))
+        seed = int(doc.get("seed", 0))
+        overlap = float(doc.get("distractor_overlap", 0.0))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad scene description: {exc}") from exc
-    depth = int(doc.get("depth", 16))
-    seed = int(doc.get("seed", 0))
-    overlap = float(doc.get("distractor_overlap", 0.0))
+    if depth < 1:
+        raise UsageError(f"bad scene description: depth must be at least 1, got {depth}")
+    if not isinstance(obj_docs, list):
+        raise UsageError(f"bad scene description: objects must be a list, got {obj_docs!r}")
     target_id, distractor_id = correlated_identities(depth, overlap, seed)
     rng = philox(seed, stream=2)
     objects = []
-    for obj in obj_docs:
-        start = BoundingBox(*[float(v) for v in obj["start"]])
-        vx, vy = obj.get("velocity", [0.0, 0.0])
+    for i, obj in enumerate(obj_docs):
+        try:
+            start, vx, vy, absent = _scene_object_fields(obj)
+        except ValueError as exc:
+            raise UsageError(f"bad scene object {i}: {exc}") from exc
         is_target = bool(obj.get("is_target", False))
         if is_target:
             identity = target_id
@@ -129,9 +170,7 @@ def scene_from_json(doc: dict) -> SceneSpec:
         objects.append(
             SceneObject(
                 identity=identity,
-                trajectory=linear_trajectory(
-                    start, float(vx), float(vy), absent=obj.get("absent_frames", ())
-                ),
+                trajectory=linear_trajectory(start, vx, vy, absent=absent),
                 is_target=is_target,
             )
         )
@@ -185,8 +224,8 @@ def _template_flags(parser):
         default="ridge",
     )
     parser.add_argument("--lambda", dest="lam", type=_nonnegative_float, default=0.1)
-    parser.add_argument("--negatives", type=_positive_int, default=256)
-    parser.add_argument("--positives", type=_positive_int, default=16)
+    parser.add_argument("--negatives", type=positive_int, default=256)
+    parser.add_argument("--positives", type=positive_int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--normalize-features", action="store_true")
     parser.add_argument("--balance-levels", action="store_true")
@@ -386,7 +425,7 @@ def cmd_gradcheck(args) -> int:
     ok = rel < args.tolerance
     print(f"max relative error: {rel:.3e}")
     print(f"{'PASS' if ok else 'FAIL'} (tolerance {args.tolerance:g})")
-    return 0 if ok else 2
+    return 0 if ok else 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -399,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scene", required=True, help="scene description JSON")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jitter", type=_nonnegative_float, default=0.05)
-    p.add_argument("--candidates-per-object", type=_positive_int, default=4)
+    p.add_argument("--candidates-per-object", type=positive_int, default=4)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("solve-template", help="compute a template from a pyramid + box")
@@ -430,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=_unit_fraction, default=0.6)
     p.add_argument("--alpha-low", type=_unit_fraction, default=0.1)
     p.add_argument("--alpha-recover", type=_unit_fraction, default=0.3)
-    p.add_argument("--recover-frames", type=_positive_int, default=30)
+    p.add_argument("--recover-frames", type=positive_int, default=30)
     p.add_argument("--presence-threshold", type=_unit_fraction, default=0.3)
     p.set_defaults(func=cmd_track)
 
@@ -445,12 +484,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="check the ridge backward pass vs finite differences")
-    p.add_argument("--dim", type=_positive_int, default=16)
+    p.add_argument("--dim", type=positive_int, default=16)
     p.add_argument("--negatives", type=_nonnegative_int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="lam", type=_nonnegative_float, default=0.1)
     p.add_argument("--step", type=_positive_float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -5,12 +5,20 @@ A pyramid container is a single-line JSON header terminated by a newline,
 followed by a raw little-endian float32 payload. Byte offsets in the
 header are relative to the start of the payload. Unknown header keys are
 ignored for forward compatibility.
+
+`read_container` maps the file copy-on-write rather than reading the payload
+into fresh memory. Its levels are writable views of the map, and writes never
+reach the file. Each live pyramid read from a file holds one open file
+descriptor until its last level is dropped, so holding more than `ulimit -n`
+at once fails. A file truncated by another process while it is mapped raises
+SIGBUS, not ContainerError, when a lost page is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import operator
 import os
 from dataclasses import dataclass, field
@@ -55,12 +63,18 @@ def pyramid_to_bytes(pyramid: FeaturePyramid) -> bytes:
     return json.dumps(header, separators=(",", ":")).encode() + b"\n" + b"".join(chunks)
 
 
-def pyramid_from_bytes(buf: bytes) -> FeaturePyramid:
-    """Decode a container; the levels share one writable copy of the payload."""
+def _split(buf) -> tuple[bytes, np.ndarray]:
+    """A container's header line and a uint8 view of the payload after it."""
     newline = buf.find(b"\n")
     if newline < 0:
         raise ContainerError("no header terminator found in first bytes of container")
-    return _decode(buf[:newline], np.frombuffer(buf, np.uint8, offset=newline + 1).copy())
+    return buf[:newline], np.frombuffer(buf, np.uint8)[newline + 1:]
+
+
+def pyramid_from_bytes(buf: bytes) -> FeaturePyramid:
+    """Decode a container; the levels share one writable copy of the payload."""
+    header_line, payload = _split(buf)
+    return _decode(header_line, payload.copy())
 
 
 def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
@@ -81,7 +95,7 @@ def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
             off, length = int(rec["byte_offset"]), int(rec["byte_length"])
             level = int(rec["level"])
             stride = int(rec["stride"]) if "stride" in rec else 2**level
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ContainerError(f"bad level record {rec!r}: {exc}") from exc
         if rec.get("dtype", "f32") != "f32":
             raise ContainerError(f"unsupported dtype {rec.get('dtype')!r}")
@@ -110,7 +124,13 @@ def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
     ]
     strides = [stride for *_, stride in parsed]
     image = header.get("image_size")
-    ih, iw = (image if isinstance(image, list) and len(image) == 2 else (None, None))
+    if image is None:
+        image = [None, None]
+    elif not (isinstance(image, list) and len(image) == 2
+              and all(type(v) is int and v >= 1 for v in image)):
+        raise ContainerError(f"container header 'image_size' must be [height, width] "
+                             f"of positive integers, got {image!r}")
+    ih, iw = image
     try:
         return FeaturePyramid(maps, strides=tuple(strides), image_height=ih, image_width=iw)
     except InvalidInputError as exc:
@@ -122,13 +142,16 @@ def write_container(pyramid: FeaturePyramid, path) -> None:
 
 
 def read_container(path) -> FeaturePyramid:
-    """Decode a container file, reading its payload straight into the levels' buffer."""
+    """Decode a container file mapped copy-on-write; the levels are views of the map.
+
+    See the module docstring for the file descriptor each live pyramid holds
+    and for SIGBUS on a file truncated while mapped.
+    """
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        if not header_line.endswith(b"\n"):
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses an empty file
             raise ContainerError("no header terminator found in first bytes of container")
-        payload = np.fromfile(fh, np.uint8)
-    return _decode(header_line[:-1], payload)
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    return _decode(*_split(buf))
 
 
 def _box_values(vals) -> list[float]:
@@ -409,11 +432,11 @@ def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
         edges = box[:, :2] + box[:, 2:]
     bad.report_rows(
         finite & ((w <= 0) | (h <= 0) | (area == 0)),
-        lambda i: f"bad {what}: degenerate box: w={w[i]!r}, h={h[i]!r}",
+        lambda i: f"bad {what}: degenerate box: w={float(w[i])}, h={float(h[i])}",
     )
     bad.report_rows(
         finite & (area == np.inf),
-        lambda i: f"bad {what}: box area overflows: w={w[i]!r}, h={h[i]!r}",
+        lambda i: f"bad {what}: box area overflows: w={float(w[i])}, h={float(h[i])}",
     )
     bad.report_rows(
         finite & np.isinf(edges).any(axis=1),

@@ -6,6 +6,7 @@ import pytest
 
 from fpntrack.cli import main
 from fpntrack.container import read_container, read_tracks
+from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import BoundingBox
 from fpntrack.templates import build_template
 
@@ -86,6 +87,43 @@ class TestSynth:
         assert pyr.depth == 8
         cands = json.loads((scene_dir / "candidates_0000.json").read_text())
         assert len(cands) == 2  # one candidate per visible object
+
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [(1, {"start": None}, "bad scene object 1: missing field 'start'"),
+         (0, {"start": [8, 20, 24]}, "bad scene object 0: start must be 4 finite numbers"),
+         (0, {"start": [8, 20, 0, 24]}, "bad scene object 0: start [8, 20, 0, 24]: "
+                                        "degenerate box: w=0.0, h=24.0"),
+         (1, {"velocity": [1, "2"]}, "bad scene object 1: velocity must be 2 finite numbers"),
+         (0, {"velocity": [1, 2, 3]}, "bad scene object 0: velocity must be 2 finite numbers"),
+         (1, {"absent_frames": [1, 2.5]},
+          "bad scene object 1: absent_frames must be a list of ints"),
+         (0, {"absent_frames": 3}, "bad scene object 0: absent_frames must be a list of ints")],
+    )
+    def test_bad_scene_object_names_its_index(self, tmp_path, capsys, index, change, message):
+        obj = {k: v for k, v in {**SCENE["objects"][index], **change}.items() if v is not None}
+        objects = list(SCENE["objects"])
+        objects[index] = obj
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(SCENE, objects=objects)))
+        rc = main(["synth", "--scene", str(scene_path), "--out-dir", str(tmp_path / "seq")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "seq").exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"depth": 0}, "bad scene description: depth must be at least 1, got 0"),
+         ({"depth": "deep"}, "bad scene description: invalid literal for int()"),
+         ({"objects": {"start": [8, 20, 24, 24]}},
+          "bad scene description: objects must be a list")],
+    )
+    def test_bad_scene_field_is_usage_error(self, tmp_path, capsys, change, message):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(SCENE, **change)))
+        rc = main(["synth", "--scene", str(scene_path), "--out-dir", str(tmp_path / "seq")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSolveTemplateAndAttend:
@@ -214,6 +252,23 @@ class TestSolveTemplateAndAttend:
         assert rc == 0
         pyr = read_container(sims)
         assert any(fm.data.std() > 0 for fm in pyr.levels)
+
+    def test_attend_in_place_replaces_the_pyramid(self, scene_dir, tmp_path):
+        # the frame is mapped while attend writes over it
+        template = tmp_path / "template.json"
+        frame = tmp_path / "frame.fpyr"
+        frame.write_bytes((scene_dir / "frame_0000.fpyr").read_bytes())
+        assert main(["solve-template", "--pyramid", str(frame), "--box", "8,20,24,24",
+                     "--out", str(template)]) == 0
+        sims = tmp_path / "sims.fpyr"
+        assert main(["attend", "--pyramid", str(frame), "--template", str(template),
+                     "--out", str(sims)]) == 0
+        assert main(["attend", "--pyramid", str(frame), "--template", str(template),
+                     "--out", str(frame)]) == 0
+        assert frame.read_bytes() == sims.read_bytes()
+        pyr = read_container(frame)
+        assert pyr.depth == 1
+        assert pyr.level_labels == read_container(scene_dir / "frame_0000.fpyr").level_labels
 
 
 class TestTrackAndEval:
@@ -441,6 +496,16 @@ class TestMalformedJsonl:
         assert rc == 1
         assert f"{bad_file}.jsonl:2:" in err and "box area overflows" in err
 
+    @pytest.mark.parametrize("box", [[0, 0, 1e-200, 1e-200], [0, 0, 1e200, 1e200]])
+    def test_box_message_prints_values_as_bounding_box_does(self, tmp_path, capsys, box):
+        with pytest.raises(InvalidInputError) as expected:
+            BoundingBox(*box)
+        rc = self.run_eval(tmp_path, dict(self.TRACK, frame=1, box=box), dict(self.GT, frame=1))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"tracks.jsonl:2: bad track record: {expected.value}\n" in err
+        assert "np.float64" not in err
+
     @pytest.mark.parametrize("bad_file", ["tracks", "gt"])
     def test_box_whose_edge_overflows_is_user_error(self, tmp_path, capsys, bad_file):
         # a finite area but an infinite x + w: the overlap would be NaN
@@ -585,9 +650,10 @@ class TestGradcheck:
         assert "max relative error" in out
         assert "PASS" in out
 
-    def test_huge_step_fails_with_exit_code_two(self, capsys):
+    def test_huge_step_fails_with_exit_code_one(self, capsys):
+        # a FAIL verdict is a failed check, not an internal error (exit 2)
         rc = main(["gradcheck", "--dim", "6", "--negatives", "8", "--step", "10.0"])
-        assert rc == 2
+        assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -617,7 +683,9 @@ class TestValueFlags:
          ("--step", "0", "a positive finite number"),
          ("--step", "nan", "a positive finite number"),
          ("--lambda", "nan", "a non-negative finite number"),
-         ("--lambda", "-1", "a non-negative finite number")],
+         ("--lambda", "-1", "a non-negative finite number"),
+         ("--tolerance", "nan", "a positive finite number"),
+         ("--tolerance", "0", "a positive finite number")],
     )
     def test_gradcheck_value_names_flag(self, capsys, flag, value, kind):
         assert main(["gradcheck", f"{flag}={value}"]) == 1
@@ -664,7 +732,7 @@ class TestValueFlags:
         assert not out.exists()
 
     def test_repeated_calls_parse_independently(self, capsys):
-        assert main(["gradcheck", "--dim", "2", "--negatives", "0", "--tolerance", "0"]) == 2
+        assert main(["gradcheck", "--dim", "2", "--negatives", "0", "--tolerance", "1e-300"]) == 1
         assert main(["gradcheck", "--dim", "2", "--negatives", "0"]) == 0
         assert "PASS" in capsys.readouterr().out.splitlines()[-1]
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 
 import numpy as np
 import pytest
@@ -149,6 +151,104 @@ class TestContainerRoundtrip:
         modified = json.dumps(header).encode() + buf[newline:]
         out = pyramid_from_bytes(modified)
         assert out.level_labels == small_pyramid().level_labels
+
+
+def _header_and_payload(buf: bytes):
+    newline = buf.index(b"\n")
+    return json.loads(buf[:newline]), buf[newline + 1:]
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-8, 4096), st.none(), st.text(max_size=2), st.floats(allow_nan=True),
+    st.lists(st.integers(-2, 64), max_size=3),
+)
+
+
+@st.composite
+def mutated_containers(draw) -> bytes:
+    """A container's bytes after up to three mutations of its header or payload."""
+    buf = pyramid_to_bytes(
+        small_pyramid(draw(st.integers(0, 100)), draw(st.integers(1, 3)),
+                      draw(st.sampled_from([4, 8])))
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["level field", "image size", "byte", "cut", "extend"]))
+        try:
+            header, payload = _header_and_payload(buf)
+        except ValueError:  # an earlier mutation broke the header line; flip a byte instead
+            header = None
+        levels = header.get("levels") if isinstance(header, dict) else None
+        records = [rec for rec in levels if isinstance(rec, dict)] if isinstance(levels, list) else []
+        if kind == "level field" and records:
+            rec = draw(st.sampled_from(records))
+            key = draw(st.sampled_from(
+                ["level", "height", "width", "depth", "dtype", "stride", "byte_offset",
+                 "byte_length"]))
+            rec[key] = draw(_FIELD_VALUES)
+            buf = json.dumps(header).encode() + b"\n" + payload
+        elif kind == "image size" and isinstance(header, dict):
+            header["image_size"] = draw(_FIELD_VALUES)
+            buf = json.dumps(header).encode() + b"\n" + payload
+        elif kind == "cut":
+            buf = buf[:max(0, len(buf) - draw(st.integers(1, 96)))]
+        elif kind == "extend":
+            buf += draw(st.binary(min_size=1, max_size=16))
+        elif buf:
+            at = draw(st.integers(0, len(buf) - 1))
+            buf = buf[:at] + bytes([draw(st.integers(0, 255))]) + buf[at + 1:]
+    return buf
+
+
+def _decoded(read):
+    """The pyramid's labels, strides, image size and level bytes, or the ContainerError."""
+    try:
+        pyr = read()
+    except ContainerError as exc:
+        return f"ContainerError: {exc}"
+    assert all(type(v) is int and v >= 1 for v in (pyr.image_height, pyr.image_width))
+    return (pyr.level_labels, pyr.strides, pyr.image_height, pyr.image_width,
+            [(fm.data.dtype.str, fm.data.shape, fm.data.tobytes()) for fm in pyr.levels])
+
+
+class TestMappedRead:
+    @settings(max_examples=300, deadline=None)
+    @given(buf=mutated_containers())
+    def test_file_and_bytes_decode_alike(self, tmp_path_factory, buf):
+        path = tmp_path_factory.mktemp("fuzz") / "p.fpyr"
+        path.write_bytes(buf)
+        assert _decoded(lambda: read_container(path)) == _decoded(lambda: pyramid_from_bytes(buf))
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(b"")
+        with pytest.raises(ContainerError, match="no header terminator"):
+            read_container(path)
+
+    def test_header_only_file_has_no_levels(self, tmp_path):
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(b'{"version":1,"levels":[]}\n')
+        with pytest.raises(ContainerError, match="pyramid has no levels"):
+            read_container(path)
+
+    def test_level_beyond_empty_payload_is_truncated(self, tmp_path):
+        header, _ = _header_and_payload(pyramid_to_bytes(small_pyramid()))
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ContainerError,
+                           match=r"payload truncated, need bytes \[0, 768\) but payload has 0 bytes"):
+            read_container(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dropped_pyramids_release_their_file_descriptors(self, tmp_path):
+        path = tmp_path / "p.fpyr"
+        write_container(small_pyramid(), path)
+        gc.collect()
+        baseline = len(os.listdir("/proc/self/fd"))
+        held = [read_container(path) for _ in range(50)]
+        assert len(os.listdir("/proc/self/fd")) == baseline + 50  # one per live map
+        del held
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == baseline
 
 
 class TestManifest:
