@@ -406,21 +406,7 @@ def cmd_gradcheck(args) -> int:
     problem = templates.RegressionProblem.from_samples(a[0], list(a[1:]), args.lam)
     g = rng.normal(size=args.dim)
     analytic = templates.ridge_backward(problem, g)
-    numeric = np.zeros_like(a)
-    step = args.step
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            plus = a.copy()
-            plus[i, j] += step
-            minus = a.copy()
-            minus[i, j] -= step
-            t_plus = templates.solve_ridge(
-                templates.RegressionProblem(plus, problem.labels, args.lam)
-            ).values
-            t_minus = templates.solve_ridge(
-                templates.RegressionProblem(minus, problem.labels, args.lam)
-            ).values
-            numeric[i, j] = float(g @ (t_plus - t_minus)) / (2 * step)
+    numeric = templates.finite_difference_grad(problem, g, args.step)
     rel = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
     ok = rel < args.tolerance
     print(f"max relative error: {rel:.3e}")
@@ -509,7 +495,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (FpnTrackError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FpnTrackError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

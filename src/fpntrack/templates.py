@@ -3,15 +3,19 @@
 The discriminative template is the minimizer of
 ``||A t - y||^2 + lambda ||t||^2`` where row 0 of A is the object feature
 (label 1) and the remaining rows are negatives (label 0). The closed form
-``t = (A^T A + lambda I)^{-1} A^T y`` defines the semantics. The solve runs
-one symmetric eigendecomposition of the smaller Gram matrix: the primal
-``A^T A + lambda I`` when A has at least as many rows as columns, otherwise
-the dual ``A A^T + lambda I`` with ``t = A^T (A A^T + lambda I)^{-1} y`` (the
-Woodbury identity used by kernelized correlation filters). The condition gate
-reads the primal condition number off those eigenvalues; in the dual case the
+``t = (A^T A + lambda I)^{-1} A^T y`` defines the semantics. The solve forms
+the smaller Gram matrix G: the primal ``A^T A + lambda I`` when A has at least
+as many rows as columns, otherwise the dual ``A A^T + lambda I`` with
+``t = A^T (A A^T + lambda I)^{-1} y`` (the Woodbury identity used by
+kernelized correlation filters). It then makes one LU solve on G. The
+condition gate refuses a G whose primal condition number exceeds
+``CONDITION_LIMIT``. It accepts without computing any eigenvalue when
+``trace(G) / lambda``, an upper bound on that number, is far below the limit;
+otherwise it reads the number off ``eigvalsh(G)``. In the dual case the
 primal spectrum holds ``D - rows`` extra copies of lambda, its smallest
-eigenvalue. The backward pass through the solve is analytic, reuses the same
-eigenpairs and is checked against finite differences.
+eigenvalue. The backward pass through the solve is analytic, makes one solve
+with both right-hand sides and is checked against finite differences
+(``finite_difference_grad``).
 
 Negatives are the cells of every level outside the box, positives the cells
 in it at its ``pyramid.template_level``, both by ``pyramid.in_box``.
@@ -39,6 +43,9 @@ TEMPLATE_KINDS = ("center", "mean_pos", "mean_diff", "ridge")
 
 # Refuse closed-form solves when the normal matrix is this badly conditioned.
 CONDITION_LIMIT = 1e12
+# trace(G) / lambda bounds the condition number; at or below this share of the
+# limit the gate accepts without eigenvalues (the margin is derived in _gram).
+CERTIFIED_CONDITION = CONDITION_LIMIT / 1000
 
 
 @dataclass(frozen=True)
@@ -97,17 +104,32 @@ class RegressionProblem:
         return float(r @ r + self.lam * (t @ t))
 
 
-def _factor(problem: RegressionProblem) -> tuple[bool, np.ndarray, np.ndarray]:
-    """Eigendecompose the smaller Gram matrix and gate on the primal condition number.
+def _gram(problem: RegressionProblem) -> tuple[bool, np.ndarray]:
+    """The smaller Gram matrix, refused when the primal condition number exceeds the limit.
 
-    Returns (dual, w, v) with ``G = v diag(w) v^T``, where G is
-    ``A A^T + lambda I`` if dual (D > rows), else ``A^T A + lambda I``.
+    Returns (dual, G), where G is ``A A^T + lambda I`` if dual (D > rows),
+    else ``A^T A + lambda I``.
     """
     a, lam = problem.data_matrix, problem.lam
     dual = a.shape[1] > a.shape[0]
     gram = a @ a.T if dual else a.T @ a
     gram[np.diag_indices_from(gram)] += lam
-    w, v = np.linalg.eigh(gram)
+    # Certificate: every eigenvalue of G is at least lambda and, all being
+    # positive, the largest is at most their sum, so cond(G) <= trace(G) /
+    # lambda (in the dual case too, where the primal spectrum adds copies of
+    # lambda). The G formed here is not exact: the product over an inner
+    # dimension n (rows in the primal, D in the dual) is off by at most
+    # n u ||A||_F^2 <= n u trace(G) in 2-norm (u = 2^-53), and eigvalsh adds
+    # about m u ||G|| <= m u trace(G) for the order m. By Weyl's inequality the
+    # eigenvalues the gate below would compute then lie within
+    # delta = (n + c m) u trace(G) of the exact ones. Under the certificate,
+    # trace(G) <= CERTIFIED_CONDITION lambda, so delta <= (n + c m) 1.1e-7
+    # lambda < lambda / 2 for n + c m below about 4e6, and the gate's own ratio
+    # is at most 1.5e9 lambda / (lambda / 2) = 3e9: it would accept as well.
+    with np.errstate(over="ignore"):  # a ratio that overflows certifies nothing
+        if lam > 0 and np.trace(gram) / lam <= CERTIFIED_CONDITION:
+            return dual, gram
+    w = np.linalg.eigvalsh(gram)
     smallest = lam if dual else w[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = w[-1] / smallest
@@ -119,19 +141,15 @@ def _factor(problem: RegressionProblem) -> tuple[bool, np.ndarray, np.ndarray]:
         else:
             reason = f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         raise SolverError(f"normal matrix {reason}; increase lambda")
-    return dual, w, v
-
-
-def _solve_factored(problem: RegressionProblem, dual: bool, w, v) -> np.ndarray:
-    a, y = problem.data_matrix, problem.labels
-    if dual:
-        return a.T @ (v @ ((v.T @ y) / w))
-    return v @ ((v.T @ (a.T @ y)) / w)
+    return dual, gram
 
 
 def solve_ridge(problem: RegressionProblem) -> TemplateVector:
     """Minimize ||A t - y||^2 + lambda ||t||^2 in closed form."""
-    return TemplateVector(_solve_factored(problem, *_factor(problem)), kind="ridge")
+    a, y = problem.data_matrix, problem.labels
+    dual, gram = _gram(problem)
+    t = a.T @ np.linalg.solve(gram, y) if dual else np.linalg.solve(gram, a.T @ y)
+    return TemplateVector(t, kind="ridge")
 
 
 def ridge_backward(problem: RegressionProblem, upstream: np.ndarray) -> np.ndarray:
@@ -142,17 +160,36 @@ def ridge_backward(problem: RegressionProblem, upstream: np.ndarray) -> np.ndarr
     h = (g - A^T K^{-1} A g) / lambda with K = A A^T + lambda I.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    a = problem.data_matrix
+    a, y = problem.data_matrix, problem.labels
     if g.shape != (a.shape[1],):
         raise InvalidInputError("upstream gradient must be a D-vector")
-    dual, w, v = _factor(problem)
-    t = _solve_factored(problem, dual, w, v)
+    dual, gram = _gram(problem)
     if dual:
-        h = (g - a.T @ (v @ ((v.T @ (a @ g)) / w))) / problem.lam
+        k_inv_y, k_inv_ag = np.linalg.solve(gram, np.stack([y, a @ g], axis=1)).T
+        t = a.T @ k_inv_y
+        h = (g - a.T @ k_inv_ag) / problem.lam
     else:
-        h = v @ ((v.T @ g) / w)
-    residual = problem.labels - a @ t
+        t, h = np.linalg.solve(gram, np.stack([a.T @ y, g], axis=1)).T
+    residual = y - a @ t
     return np.outer(residual, h) - np.outer(a @ h, t)
+
+
+def finite_difference_grad(problem: RegressionProblem, upstream: np.ndarray,
+                           step: float) -> np.ndarray:
+    """Central-difference estimate of ridge_backward: two solves per entry of A."""
+    g = np.asarray(upstream, dtype=np.float64)
+    a = problem.data_matrix
+    out = np.zeros_like(a)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            plus = a.copy()
+            plus[i, j] += step
+            minus = a.copy()
+            minus[i, j] -= step
+            tp = solve_ridge(RegressionProblem(plus, problem.labels, problem.lam)).values
+            tm = solve_ridge(RegressionProblem(minus, problem.labels, problem.lam)).values
+            out[i, j] = float(g @ (tp - tm)) / (2 * step)
+    return out
 
 
 def template_mean_pos(positives: Sequence[np.ndarray]) -> TemplateVector:

@@ -19,9 +19,14 @@ from fpntrack.scenarios import (
     smoothing_suite_ao,
 )
 from fpntrack.synth import philox
-from fpntrack.templates import RegressionProblem, ridge_backward, solve_ridge
+from fpntrack.templates import (
+    RegressionProblem,
+    finite_difference_grad,
+    ridge_backward,
+    solve_ridge,
+)
 from fpntrack.tracker import Detection, TrackerConfig, TrackerState, step
-from tests.test_templates import gradient_descent_minimizer, finite_difference_grad
+from tests.test_templates import gradient_descent_minimizer
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,35 @@ class TestUsage:
     def test_missing_input_file_is_user_error(self, capsys, tmp_path):
         rc = main(["synth", "--scene", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
         assert rc == 1
+
+    @staticmethod
+    def reading(command, path, tmp_path):
+        """Arguments for a command whose one input file is `path`."""
+        return {
+            "solve-template": ["solve-template", "--pyramid", str(path), "--box", "1,1,4,4"],
+            "synth": ["synth", "--scene", str(path), "--out-dir", str(tmp_path / "out")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["solve-template", "synth"])
+    def test_directory_input_is_user_error_naming_it(self, capsys, tmp_path, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(self.reading(command, folder, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="needs a user that file permissions apply to")
+    @pytest.mark.parametrize("command", ["solve-template", "synth"])
+    def test_unreadable_input_is_user_error_naming_it(self, capsys, tmp_path, command):
+        locked = tmp_path / "locked"
+        locked.write_text("{}")
+        locked.chmod(0)
+        assert main(self.reading(command, locked, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(locked) in err
+        assert "Traceback" not in err
 
     def test_bad_box_string_fails(self, capsys, scene_dir):
         rc = main(

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +16,11 @@ from fpntrack.pyramid import (
 from fpntrack.scenarios import distractor_scene
 from fpntrack.synth import philox, render_frame
 from fpntrack.templates import (
+    CERTIFIED_CONDITION,
     CONDITION_LIMIT,
     RegressionProblem,
     build_template,
+    finite_difference_grad,
     ridge_backward,
     sample_negatives,
     sample_positives,
@@ -122,21 +126,6 @@ def oracle_positives(pyramid, gt_box, p, seed):
     return [fm.data[r, c].astype(np.float64) for r, c in picked]
 
 
-def finite_difference_grad(problem, g, step=1e-4):
-    a = problem.data_matrix
-    out = np.zeros_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            plus = a.copy()
-            plus[i, j] += step
-            minus = a.copy()
-            minus[i, j] -= step
-            tp = solve_ridge(RegressionProblem(plus, problem.labels, problem.lam)).values
-            tm = solve_ridge(RegressionProblem(minus, problem.labels, problem.lam)).values
-            out[i, j] = float(g @ (tp - tm)) / (2 * step)
-    return out
-
-
 class TestSolveRidge:
     def test_orthonormal_rows_unregularized(self):
         prob = RegressionProblem.from_samples([1.0, 0.0], [[0.0, 1.0]], lam=0.0)
@@ -238,9 +227,87 @@ class TestSolveMatchesOracle:
         prob = random_problem(rng, 40, 8, lam=0.1)  # D=40 > 9 rows: dual regime
         g = rng.normal(size=40)
         analytic = ridge_backward(prob, g)
-        numeric = finite_difference_grad(prob, g)
+        numeric = finite_difference_grad(prob, g, step=1e-4)
         rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
         assert rel < 1e-4
+
+
+@contextlib.contextmanager
+def eigvalsh_calls(monkeypatch):
+    """Record the shape of each np.linalg.eigvalsh call; any np.linalg.eigh call fails."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    def no_eigenpairs(*args, **kwargs):
+        raise AssertionError("the ridge solve computed eigenvectors")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        patch.setattr(np.linalg, "eigh", no_eigenpairs)
+        yield calls
+
+
+def trace_ratio(problem):
+    """trace(G) / lambda of the smaller Gram matrix, the certificate's bound on cond(G)."""
+    a = problem.data_matrix
+    gram = a @ a.T if a.shape[1] > a.shape[0] else a.T @ a
+    return (np.trace(gram) + problem.lam * len(gram)) / problem.lam
+
+
+class TestConditionGate:
+    """The gate accepts on trace(G) / lambda without eigenvalues, else reads eigvalsh(G)."""
+
+    @pytest.mark.parametrize("dim", [256, 1024])  # the benchmark's primal and dual sizes
+    def test_certified_problem_computes_no_eigenvalues(self, monkeypatch, dim):
+        g = philox(dim).normal(size=dim)
+        prob = random_problem(philox(5), dim, 256, lam=0.1)
+        assert trace_ratio(prob) <= CERTIFIED_CONDITION
+        with eigvalsh_calls(monkeypatch) as calls:
+            solve_ridge(prob)
+            ridge_backward(prob, g)
+        assert calls == []
+
+    def test_zero_lambda_reads_eigenvalues(self, monkeypatch):
+        prob = random_problem(philox(6), 8, 16, lam=0.0)
+        with eigvalsh_calls(monkeypatch) as calls:
+            solve_ridge(prob)
+        assert calls == [(8, 8)]
+
+    def test_overflowing_trace_ratio_reads_eigenvalues(self, monkeypatch):
+        # trace(G) / 1e-310 overflows: no certificate, and no overflow warning
+        prob = random_problem(philox(9), 3, 4, lam=1e-310)
+        with eigvalsh_calls(monkeypatch) as calls:
+            got = solve_ridge(prob).values
+        assert calls == [(3, 3)]
+        assert np.allclose(got, oracle_solve(prob)[1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows, dim", [(33, 16), (9, 40)])  # primal, dual
+    def test_above_certificate_reads_eigenvalues_and_solves(self, monkeypatch, rows, dim):
+        a = philox(rows).normal(size=(rows, dim)) * 1e3
+        prob = RegressionProblem.from_samples(a[0], list(a[1:]), lam=0.1)
+        cond, expected, _ = oracle_solve(prob)
+        assert trace_ratio(prob) > CERTIFIED_CONDITION and cond < CONDITION_LIMIT
+        with eigvalsh_calls(monkeypatch) as calls:
+            got = solve_ridge(prob).values
+        assert calls == [(min(rows, dim),) * 2]
+        # the oracle loses about cond * eps, and cond reaches 7e8 on the dual case
+        tol = 10 * np.finfo(np.float64).eps * cond
+        assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+
+    def test_condition_above_limit_refused_with_message(self):
+        # dual, so the primal condition number is largest eigenvalue / lambda
+        prob = random_problem(philox(8), 10, 3, lam=1e-12)
+        assert oracle_solve(prob)[1] is None
+        message = (r"^normal matrix condition number \d\.\d{3}e\+1[34] exceeds 1e\+12; "
+                   r"increase lambda$")
+        with pytest.raises(SolverError, match=message):
+            solve_ridge(prob)
+        with pytest.raises(SolverError, match=message):
+            ridge_backward(prob, np.ones(10))
 
 
 class TestMeanTemplates:
@@ -305,7 +372,7 @@ class TestRidgeBackward:
             prob = random_problem(rng, 6, 9, lam=0.1)
             g = rng.normal(size=6)
             analytic = ridge_backward(prob, g)
-            numeric = finite_difference_grad(prob, g)
+            numeric = finite_difference_grad(prob, g, step=1e-4)
             rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
             assert rel < 1e-4
 
