@@ -23,7 +23,7 @@ from .errors import ContainerError, FpnTrackError, InvalidInputError, UsageError
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid
 from .synth import SceneObject, SceneSpec, philox
 from .scenarios import correlated_identities, linear_trajectory
-from .tracker import Detection, TrackerConfig, run_track
+from .tracker import Candidates, TrackerConfig, run_track
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,12 +41,11 @@ def _parse_box(text: str) -> BoundingBox:
         raise UsageError(f"bad box {text!r}: {exc}") from exc
 
 
-def _box_in_image(flag: str, text: str, pyramid: FeaturePyramid) -> BoundingBox:
-    """The box a flag gives, which must meet the image [0, W) x [0, H)."""
-    box = _parse_box(text)
+def _box_in_image(box: BoundingBox, source: str, pyramid: FeaturePyramid) -> BoundingBox:
+    """The box, which must meet the image [0, W) x [0, H); `source` names where it is from."""
     w, h = pyramid.image_width, pyramid.image_height
     if not (box.x < w and box.x2 > 0 and box.y < h and box.y2 > 0):
-        raise UsageError(f"{flag} {text} lies outside the {w}x{h} image [0, {w}) x [0, {h})")
+        raise UsageError(f"{source} lies outside the {w}x{h} image [0, {w}) x [0, {h})")
     return box
 
 
@@ -245,7 +244,7 @@ def _template_kwargs(args) -> dict:
 
 def cmd_solve_template(args) -> int:
     pyramid = container.read_container(args.pyramid)
-    box = _box_in_image("--box", args.box, pyramid)
+    box = _box_in_image(_parse_box(args.box), f"--box {args.box}", pyramid)
     template = templates.build_template(
         pyramid, box, args.template_mode.replace("-", "_"), **_template_kwargs(args)
     )
@@ -291,20 +290,19 @@ def cmd_attend(args) -> int:
     return 0
 
 
-def _frame_detections(mf, pyramid, template) -> list[Detection]:
+def _frame_candidates(mf, pyramid, template) -> Candidates:
     """One manifest frame's candidates, unscored ones scored against the template.
 
     Reads the frame's container unless its pyramid is passed in.
     """
     if pyramid is None:
         pyramid = container.read_container(mf.pyramid)
-    candidates = [] if mf.candidates is None else container.load_candidates(mf.candidates)
-    unscored = [box for box, conf in candidates if conf is None]
-    scored = iter(
-        synth.score_candidates(unscored, *synth.candidate_features(pyramid, unscored), template)
-    )
-    return [next(scored) if conf is None else Detection(box=box, confidence=conf)
-            for box, conf in candidates]
+    records = [] if mf.candidates is None else container.load_candidates(mf.candidates)
+    unscored = [box for box, conf in records if conf is None]
+    scored = iter(synth.score_candidates(
+        unscored, *synth.candidate_features(pyramid, unscored), template).confidence.tolist())
+    return Candidates.from_boxes([box for box, _ in records],
+                                 [next(scored) if c is None else c for _, c in records])
 
 
 def cmd_track(args) -> int:
@@ -312,11 +310,13 @@ def cmd_track(args) -> int:
     if not manifest.frames:
         raise UsageError("manifest has no frames")
     init_pyramid = container.read_container(manifest.frames[0].pyramid)
-    init_box = _box_in_image("--init", args.init, init_pyramid) if args.init else manifest.init_box
+    init_box = _parse_box(args.init) if args.init else manifest.init_box
+    src = f"--init {args.init}" if args.init else f"{args.sequence}: init_box {init_box.as_list()}"
+    _box_in_image(init_box, src, init_pyramid)
 
     # frame 0 scores its candidates on the pyramid the template is built from
     frames = [
-        functools.partial(_frame_detections, mf, init_pyramid if i == 0 else None)
+        functools.partial(_frame_candidates, mf, init_pyramid if i == 0 else None)
         for i, mf in enumerate(manifest.frames)
     ]
     config = TrackerConfig(

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
-from .pyramid import BoundingBox, Mask, box_iou, mask_iou
+from .pyramid import BoundingBox, Mask, box_iou, box_iou_rows, mask_iou
 
 __all__ = [
     "GroundtruthFrame",
@@ -108,16 +108,6 @@ class GroundtruthColumns:
             ).reshape(-1, 4),
             tuple(g.mask for g in frames),
         )
-
-
-def _box_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`box_iou` of each row pair of two (N, 4) box arrays, in its operation order."""
-    iw = np.minimum(a[:, 0] + a[:, 2], b[:, 0] + b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
-    ih = np.minimum(a[:, 1] + a[:, 3], b[:, 1] + b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
-    inter = iw * ih
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        iou = np.minimum(inter / (a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter), 1.0)
-    return np.where((iw > 0) & (ih > 0), iou, 0.0)
 
 
 @dataclass(frozen=True)
@@ -235,7 +225,7 @@ def _track_rows(track: TrackColumns, gt: GroundtruthColumns) -> np.ndarray:
 def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:
     """Join a track's boxes and confidences to its groundtruth on frame (`_track_rows`)."""
     row = _track_rows(track, gt)
-    overlap = np.where(gt.has_box, _box_iou_rows(track.box[row], gt.box), 0.0)
+    overlap = np.where(gt.has_box, box_iou_rows(track.box[row], gt.box), 0.0)
     return AlignedTable(track.confidence[row], overlap, gt.present, track.confidence)
 
 

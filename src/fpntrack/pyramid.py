@@ -313,6 +313,20 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(min(inter / union, 1.0))
 
 
+def box_iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`box_iou` of each row pair of two (N, 4) box arrays, bit for bit; a (1, 4) `b` broadcasts.
+
+    Overlapping rows take `box_iou`'s operations in its order; on the others the
+    intersection is clamped to +0, so their IoU is 0.0 as `box_iou` returns.
+    """
+    xy_a, xy_b = a[:, :2], b[:, :2]
+    # (N, 2) intersection widths and heights, clamped at 0
+    wh = np.maximum(np.minimum(xy_a + a[:, 2:], xy_b + b[:, 2:]) - np.maximum(xy_a, xy_b), 0.0)
+    inter = wh[:, 0] * wh[:, 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.minimum(inter / (a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter), 1.0)
+
+
 def mask_iou(a: Mask, b: Mask) -> float:
     """Intersection over union of two masks on the same canvas.
 

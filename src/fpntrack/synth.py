@@ -30,7 +30,7 @@ from .pyramid import (
     in_box,
 )
 from .rng import philox
-from .tracker import Detection
+from .tracker import Candidates
 
 Trajectory = Callable[[int], Optional[BoundingBox]]
 
@@ -190,7 +190,7 @@ def candidate_features(
 
 def score_candidates(
     boxes: Sequence[BoundingBox], features: np.ndarray, norms: Sequence, template
-) -> list[Detection]:
+) -> Candidates:
     """Score candidates by the cosine of their centre features with the template.
 
     Each confidence equals ``cosine_confidence`` of the box's centre feature:
@@ -198,10 +198,8 @@ def score_candidates(
     """
     values = np.asarray(getattr(template, "values", template), dtype=np.float64)
     template_norm = np.linalg.norm(values)
-    return [
-        Detection(box=box, confidence=_confidence(np.dot(f, values), norm, template_norm))
-        for box, f, norm in zip(boxes, features, norms)
-    ]
+    confidence = [_confidence(np.dot(f, values), n, template_norm) for f, n in zip(features, norms)]
+    return Candidates.from_boxes(boxes, confidence)
 
 
 def synth_candidates(
@@ -211,7 +209,7 @@ def synth_candidates(
     jitter: float,
     k: int,
     seed: int,
-) -> list[Detection]:
-    """Candidate detections for one frame, scored against the active template."""
+) -> Candidates:
+    """One frame's candidates, scored against the active template."""
     boxes = jittered_boxes(gt_boxes, jitter, k, seed)
     return score_candidates(boxes, *candidate_features(pyramid, boxes), template)

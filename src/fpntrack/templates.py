@@ -76,6 +76,8 @@ class RegressionProblem:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.data_matrix.ndim != 2:
             raise InvalidInputError("data matrix must be 2-D")
+        if not np.isfinite(self.data_matrix).all():
+            raise InvalidInputError("data matrix contains NaN or Inf")
         rows, cols = self.data_matrix.shape
         if self.labels.shape != (rows,):
             raise InvalidInputError("labels length must match data rows")
@@ -83,8 +85,8 @@ class RegressionProblem:
         expected[0] = 1.0
         if not np.array_equal(self.labels, expected):
             raise InvalidInputError("labels must be (1, 0, ..., 0)")
-        if self.lam < 0:
-            raise InvalidInputError("lambda must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise InvalidInputError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.lam == 0 and rows < cols:
             raise InvalidInputError("lambda must be > 0 for underdetermined problems")
 
@@ -112,8 +114,11 @@ def _gram(problem: RegressionProblem) -> tuple[bool, np.ndarray]:
     """
     a, lam = problem.data_matrix, problem.lam
     dual = a.shape[1] > a.shape[0]
-    gram = a @ a.T if dual else a.T @ a
-    gram[np.diag_indices_from(gram)] += lam
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        gram = a @ a.T if dual else a.T @ a
+        gram[np.diag_indices_from(gram)] += lam
+    if not np.isfinite(gram).all():
+        raise SolverError("normal matrix overflows float64; scale the features down")
     # Certificate: every eigenvalue of G is at least lambda and, all being
     # positive, the largest is at most their sum, so cond(G) <= trace(G) /
     # lambda (in the dual case too, where the primal spectrum adds copies of

@@ -1,10 +1,11 @@
 """Per-frame candidate selection with temporal smoothness re-ranking.
 
-Smoothing blends detector confidence with overlap against the previous
-selection: c <- alpha * c + (1 - alpha) * overlap. A break/recover state
-machine disables smoothing when consecutive selections jump (IoU below
-alpha_low) and re-enables it after recover_frames consecutive selections
-with IoU above alpha_recover.
+A frame's candidates are `Candidates`: box and confidence columns. Smoothing
+blends each confidence with the box IoU against the previous selection:
+c <- alpha * c + (1 - alpha) * iou. A break/recover state machine disables
+smoothing when consecutive selections jump (IoU below alpha_low) and
+re-enables it after recover_frames consecutive selections with IoU above
+alpha_recover. Both read one IoU row per frame (`pyramid.box_iou_rows`).
 
 The machine does not keep the tracker off a distractor in every case. While
 the target is absent the selection jumps to the distractor, which breaks
@@ -24,19 +25,32 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .metrics import TrackColumns
-from .pyramid import BoundingBox, FeaturePyramid, Mask, box_iou, mask_iou
+from .pyramid import BoundingBox, FeaturePyramid, box_iou_rows
 from .templates import TemplateVector, build_template
 
 
 @dataclass(frozen=True)
-class Detection:
-    box: BoundingBox
-    confidence: float
-    mask: Optional[Mask] = None
+class Candidates:
+    """One frame's candidates: (K, 4) float64 boxes [x, y, w, h], (K,) float64 confidences."""
+
+    box: np.ndarray
+    confidence: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InvalidInputError(f"confidence {self.confidence} outside [0, 1]")
+        box, confidence = self.box, self.confidence
+        if box.ndim != 2 or box.shape[1] != 4 or confidence.shape != box.shape[:1]:
+            raise InvalidInputError(f"shapes {box.shape}, {confidence.shape} are not (K, 4), (K,)")
+        bad = ~((confidence >= 0.0) & (confidence <= 1.0))
+        if bad.any():
+            raise InvalidInputError(f"confidence {float(confidence[bad.argmax()])} outside [0, 1]")
+
+    @classmethod
+    def from_boxes(cls, boxes: Sequence[BoundingBox], confidence) -> "Candidates":
+        rows = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+        return cls(rows, np.asarray(confidence, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return self.confidence.size
 
 
 @dataclass(frozen=True)
@@ -59,79 +73,56 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackerState:
-    previous: Optional[Detection] = None
+    previous: Optional[tuple] = None  # the previous selection's (x, y, w, h)
     smoothing_active: bool = True
     consecutive_smooth: int = 0
 
 
-def overlap(a: Detection, b: Detection) -> float:
-    """Mask IoU when both detections carry masks, box IoU otherwise."""
-    if a.mask is not None and b.mask is not None:
-        return mask_iou(a.mask, b.mask)
-    return box_iou(a.box, b.box)
-
-
-def rerank(candidates: Sequence[Detection], previous: Detection, alpha: float) -> list[float]:
-    """Blend confidences with overlap against the previous selection."""
-    if not candidates:
+def rerank(candidates: Candidates, previous_box: tuple, alpha: float) -> np.ndarray:
+    """Blend confidences with box IoU against the previous selection's box."""
+    if not len(candidates):
         raise InvalidInputError("candidates must be non-empty")
-    return [
-        alpha * c.confidence + (1.0 - alpha) * overlap(c, previous) for c in candidates
-    ]
+    iou = box_iou_rows(candidates.box, np.array([previous_box], dtype=np.float64))
+    return alpha * candidates.confidence + (1.0 - alpha) * iou
 
 
 def step(
-    state: TrackerState, candidates: Sequence[Detection], config: TrackerConfig
-) -> tuple[TrackerState, Detection, bool]:
+    state: TrackerState, candidates: Candidates, config: TrackerConfig
+) -> tuple[TrackerState, float, bool]:
     """One frame of tracking: select a candidate and advance the state machine.
 
-    A frame without candidates selects nothing and is reported absent: the
-    previous selection is carried over with confidence 0 and the smoothing
-    state is kept. On the first frame there is no previous selection, so the
-    placeholder ``Detection(BoundingBox(0, 0, 1, 1), 0.0)`` is returned and
-    becomes the previous selection for the next frame.
+    Returns the new state, whose ``previous`` is the selected box, the
+    selected confidence and whether it counts as present. A frame without
+    candidates is reported absent at confidence 0: the previous box, or the
+    placeholder (0, 0, 1, 1) on the first frame, is carried and the smoothing state kept.
     """
-    if not candidates:
-        if state.previous is not None:
-            carried = replace(state.previous, confidence=0.0)
-        else:
-            carried = Detection(BoundingBox(0, 0, 1, 1), 0.0)
-        return replace(state, previous=carried), carried, False
+    if not len(candidates):
+        return replace(state, previous=state.previous or (0.0, 0.0, 1.0, 1.0)), 0.0, False
 
-    use_smoothing = (
-        config.smoothing_enabled and state.smoothing_active and state.previous is not None
-    )
-    if use_smoothing:
-        scores = rerank(candidates, state.previous, config.alpha)
+    confidence = candidates.confidence
+    track_overlap = config.smoothing_enabled and state.previous is not None
+    if track_overlap:
+        iou = box_iou_rows(candidates.box, np.array([state.previous], dtype=np.float64))
+    if track_overlap and state.smoothing_active:
+        # `rerank`'s blend, on the IoU row computed once
+        i = int(np.argmax(config.alpha * confidence + (1.0 - config.alpha) * iou))
     else:
-        scores = [c.confidence for c in candidates]
-    selected = candidates[int(np.argmax(scores))]
-    present = selected.confidence >= config.presence_threshold
+        i = int(np.argmax(confidence))
+    selected = float(confidence[i])
 
-    smoothing_active = state.smoothing_active
-    counter = state.consecutive_smooth
-    if config.smoothing_enabled and state.previous is not None:
-        iou = overlap(selected, state.previous)
-        if smoothing_active:
-            if iou < config.alpha_low:
-                smoothing_active = False
-                counter = 0
-        else:
-            if iou > config.alpha_recover:
-                counter += 1
-                if counter >= config.recover_frames:
-                    smoothing_active = True
-                    counter = 0
-            else:
-                counter = 0
-    new_state = TrackerState(
-        previous=selected, smoothing_active=smoothing_active, consecutive_smooth=counter
-    )
-    return new_state, selected, present
+    smoothing_active, counter = state.smoothing_active, state.consecutive_smooth
+    if track_overlap and smoothing_active and iou[i] < config.alpha_low:  # break
+        smoothing_active, counter = False, 0
+    elif track_overlap and not smoothing_active:  # count towards recovery
+        counter = counter + 1 if iou[i] > config.alpha_recover else 0
+        if counter >= config.recover_frames:
+            smoothing_active, counter = True, 0
+    new_state = TrackerState(tuple(candidates.box[i].tolist()), smoothing_active, counter)
+    return new_state, selected, selected >= config.presence_threshold
 
 
 def run_track(
-    frames: Sequence[Callable[[TemplateVector], Sequence[Detection]]],
+    frames: Sequence[Callable[[TemplateVector], Candidates]],
     init_box: BoundingBox,
     init_pyramid: FeaturePyramid,
     config: TrackerConfig,
@@ -141,23 +132,23 @@ def run_track(
     """Track through a sequence of frames with a first-frame template.
 
     Each frame is a callable taking the built template and returning scored
-    detections (the pluggable candidate-detector interface). The template is
-    built once from frame 0 and never updated. Frame i of the track is the
-    i-th entry of `frames`.
+    `Candidates` (the pluggable candidate-detector interface). The template is
+    built once from frame 0 and never updated. Row i of the track is what
+    `step` selected from the i-th entry of `frames`.
     """
     if not frames:
         raise InvalidInputError("sequence must be non-empty")
     template = build_template(init_pyramid, init_box, template_kind, **template_kwargs)
     state = TrackerState()
-    selected, present = [], []
+    rows = []
     for frame in frames:
-        state, detection, is_present = step(state, frame(template), config)
-        selected.append(detection)
-        present.append(is_present)
+        state, confidence, present = step(state, frame(template), config)
+        rows.append((state.previous, confidence, present))
+    boxes, confidence, present = zip(*rows)
     return TrackColumns(
-        np.arange(len(selected), dtype=np.int64),
-        np.array([d.box.as_list() for d in selected], dtype=np.float64),
-        np.array([d.confidence for d in selected], dtype=np.float64),
+        np.arange(len(rows), dtype=np.int64),
+        np.array(boxes, dtype=np.float64),
+        np.array(confidence, dtype=np.float64),
         np.array(present, dtype=bool),
-        tuple(d.mask for d in selected),
+        (None,) * len(rows),
     )

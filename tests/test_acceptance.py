@@ -25,7 +25,7 @@ from fpntrack.templates import (
     ridge_backward,
     solve_ridge,
 )
-from fpntrack.tracker import Detection, TrackerConfig, TrackerState, step
+from fpntrack.tracker import Candidates, TrackerConfig, TrackerState, step
 from tests.test_templates import gradient_descent_minimizer
 
 
@@ -149,15 +149,15 @@ def test_criterion_5_temporal_smoothing(report):
     # break within one frame of a low-overlap transition, re-enable after
     # exactly 30 consecutive high-overlap frames
     config = TrackerConfig()
-    far = Detection(BoundingBox(500, 0, 10, 10), 0.9)
-    state = TrackerState(previous=Detection(BoundingBox(0, 0, 10, 10), 0.9))
-    state, _, _ = step(state, [far], config)
+    far = Candidates.from_boxes([BoundingBox(500, 0, 10, 10)], [0.9])
+    state = TrackerState(previous=(0.0, 0.0, 10.0, 10.0))
+    state, _, _ = step(state, far, config)
     broke_in_one = not state.smoothing_active
     early = False
     for _ in range(29):
-        state, _, _ = step(state, [far], config)
+        state, _, _ = step(state, far, config)
         early = early or state.smoothing_active
-    state, _, _ = step(state, [far], config)
+    state, _, _ = step(state, far, config)
     reenabled_at_30 = state.smoothing_active and not early
 
     elapsed = time.perf_counter() - start

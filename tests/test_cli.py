@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fpntrack import cli
 from fpntrack.cli import main
 from fpntrack.container import read_container, read_tracks
 from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import BoundingBox
+from fpntrack.synth import candidate_features, render_frame, score_candidates
 from fpntrack.templates import build_template
 
 SCENE = {
@@ -221,6 +223,17 @@ class TestSolveTemplateAndAttend:
         assert "--init 4000,2000,24,24 lies outside the 64x64 image" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_manifest_init_box_must_meet_the_image(self, scene_dir, tmp_path, capsys):
+        manifest = scene_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(doc, init_box=[500, 500, 10, 10])))
+        out = tmp_path / "tracks.jsonl"
+        rc = main(["track", "--sequence", str(manifest), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: init_box [500.0, 500.0, 10.0, 10.0] lies outside the 64x64 image" in err
+        assert not out.exists()
+
     def test_detection_mode_attention_is_uniform(self, scene_dir, tmp_path):
         template = tmp_path / "template.json"
         main(
@@ -345,6 +358,34 @@ class TestTrackAndEval:
         track = read_tracks(tracks)
         assert track.frame.tolist() == list(range(8))
         assert track.present.all()
+
+    def test_scored_and_unscored_candidates_in_one_file(self, scene_dir, tmp_path):
+        # each frame lists the target scored and the distractor unscored; the
+        # target's file confidence wins on even frames and loses on odd ones
+        scored = {f: 0.8765432101234567 if f % 2 == 0 else 0.0123456789012345 for f in range(8)}
+        frames = [render_frame(cli.scene_from_json(SCENE), f)[1] for f in range(8)]
+        for f, (target, distractor) in enumerate(frames):
+            (scene_dir / f"candidates_{f:04d}.json").write_text(json.dumps([
+                {"box": target.as_list(), "confidence": scored[f]},
+                {"box": distractor.as_list()},
+            ]))
+        track = read_tracks(self.run_pipeline(scene_dir, tmp_path, ("--no-smooth",)))
+
+        template = build_template(read_container(scene_dir / "frame_0000.fpyr"), frames[0][0],
+                                  "center")
+        for f, (target, distractor) in enumerate(frames):
+            pyramid = read_container(scene_dir / f"frame_{f:04d}.fpyr")
+            computed = score_candidates(
+                [distractor], *candidate_features(pyramid, [distractor]), template
+            ).confidence[0]
+            if f % 2 == 0:
+                assert computed < scored[f]
+                assert track.box[f].tolist() == target.as_list()
+                assert track.confidence[f] == scored[f]  # verbatim
+            else:
+                assert computed > scored[f]
+                assert track.box[f].tolist() == distractor.as_list()
+                assert track.confidence[f].tobytes() == computed.tobytes()
 
     def test_oxuva_report_fields(self, tmp_path, capsys):
         # the oxuva rates need at least one groundtruth-absent frame

@@ -29,7 +29,7 @@ from fpntrack.metrics import (
     TrackColumns,
 )
 from fpntrack.pyramid import BoundingBox
-from fpntrack.tracker import Detection
+from fpntrack.tracker import Candidates
 
 # ---------------------------------------------------------------- oracles
 
@@ -54,7 +54,7 @@ def oracle_box(vals) -> BoundingBox:
 
 
 def oracle_read_tracks(path) -> TrackColumns:
-    frames, detections, presents = [], [], []
+    frames, rows, masks, presents = [], [], [], []
     for lineno, rec in oracle_jsonl_records(path, "track record"):
         try:
             box, confidence, frame, present = rec["box"], rec["confidence"], rec["frame"], rec["present"]
@@ -62,21 +62,22 @@ def oracle_read_tracks(path) -> TrackColumns:
             raise ContainerError(f"{path}:{lineno}: track record missing field {exc}") from exc
         try:
             mask = _mask_from_json(rec["mask"]) if rec.get("mask") else None
-            det = Detection(box=oracle_box(box), confidence=float(confidence), mask=mask)
+            row = Candidates.from_boxes([oracle_box(box)], [float(confidence)])
             frame = int(frame)
         except (TypeError, ValueError, OverflowError, ContainerError, InvalidInputError) as exc:
             raise ContainerError(f"{path}:{lineno}: bad track record: {exc}") from exc
         if frames and frame <= frames[-1]:
             raise ContainerError(f"{path}:{lineno}: frames must be strictly increasing")
         frames.append(frame)
-        detections.append(det)
+        rows.append(row)
+        masks.append(mask)
         presents.append(bool(present))
     return TrackColumns(
         np.array(frames, dtype=np.int64),
-        np.array([d.box.as_list() for d in detections], dtype=np.float64).reshape(-1, 4),
-        np.array([d.confidence for d in detections], dtype=np.float64),
+        np.concatenate([r.box for r in rows]) if rows else np.empty((0, 4)),
+        np.concatenate([r.confidence for r in rows]) if rows else np.empty(0),
         np.array(presents, dtype=bool),
-        tuple(d.mask for d in detections),
+        tuple(masks),
     )
 
 

@@ -24,7 +24,7 @@ from fpntrack.metrics import (
     roc_curve,
     trapezoid_auc,
 )
-from fpntrack.pyramid import BoundingBox, Mask
+from fpntrack.pyramid import BoundingBox, Mask, box_iou_rows
 from fpntrack.synth import philox
 
 
@@ -75,6 +75,12 @@ boxes_strategy = st.builds(
     st.floats(0.5, 60),
     st.floats(0.5, 60),
 )
+# integer corners make touching edges and exact overlaps common
+grid_boxes = st.one_of(
+    boxes_strategy,
+    st.builds(BoundingBox, st.integers(0, 8), st.integers(0, 8), st.integers(1, 8),
+              st.integers(1, 8)),
+)
 
 
 class TestTrackColumns:
@@ -107,6 +113,17 @@ class TestBoxIou:
     @given(boxes_strategy)
     def test_self_iou_is_one(self, b):
         assert box_iou(b, b) == pytest.approx(1.0)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(grid_boxes, grid_boxes), min_size=1, max_size=6))
+    def test_rows_equal_box_iou_bit_for_bit(self, pairs):
+        a = np.array([p.as_list() for p, _ in pairs])
+        b = np.array([q.as_list() for _, q in pairs])
+        expected = np.array([box_iou(p, q) for p, q in pairs])
+        assert box_iou_rows(a, b).tobytes() == expected.tobytes()
+        # one box against every row broadcasts
+        one = np.array([box_iou(p, pairs[0][1]) for p, _ in pairs])
+        assert box_iou_rows(a, b[:1]).tobytes() == one.tobytes()
 
 
 class TestMaskIou:

@@ -17,7 +17,7 @@ from fpntrack.scenarios import (
     smoothing_suite_ao,
 )
 from fpntrack.synth import cosine_confidence, jittered_boxes, render_frame
-from fpntrack.tracker import Detection, TrackerConfig, run_track
+from fpntrack.tracker import Candidates, TrackerConfig, run_track
 
 KINDS = ["center", "mean_pos", "mean_diff", "ridge"]
 
@@ -32,10 +32,9 @@ def oracle_sequence_ao(spec, template_kind, config, params, **template_kwargs):
         cand = jittered_boxes(
             boxes, params.jitter, params.candidates_per_object, spec.seed * 100003 + f
         )
-        return [
-            Detection(b, cosine_confidence(extract_template(pyramid, b), template.values))
-            for b in cand
-        ]
+        return Candidates.from_boxes(
+            cand, [cosine_confidence(extract_template(pyramid, b), template.values) for b in cand]
+        )
 
     frames = [functools.partial(candidates, f) for f in range(spec.num_frames)]
     init_pyramid, init_boxes, _ = rendered[0]

@@ -204,17 +204,18 @@ class TestCandidates:
     def test_no_jitter_single_candidate_equals_groundtruth(self):
         spec = single_object_spec()
         pyr, boxes, _ = render_frame(spec, 0)
-        dets = synth_candidates(pyr, boxes, unit(8), jitter=0.0, k=1, seed=0)
-        assert len(dets) == 1
-        assert dets[0].box == boxes[0]
-        assert dets[0].confidence == pytest.approx(1.0)
+        cands = synth_candidates(pyr, boxes, unit(8), jitter=0.0, k=1, seed=0)
+        assert len(cands) == 1
+        assert cands.box.tolist() == [boxes[0].as_list()]
+        assert cands.confidence[0] == pytest.approx(1.0)
 
     def test_deterministic_under_seed(self):
         spec = distractor_scene(5)
         pyr, boxes, _ = render_frame(spec, 0)
         a = synth_candidates(pyr, boxes, spec.objects[0].identity, 0.1, 4, seed=9)
         b = synth_candidates(pyr, boxes, spec.objects[0].identity, 0.1, 4, seed=9)
-        assert [(d.box, d.confidence) for d in a] == [(d.box, d.confidence) for d in b]
+        assert a.box.tobytes() == b.box.tobytes()
+        assert a.confidence.tobytes() == b.confidence.tobytes()
 
     def test_absent_target_leaves_only_distractor_candidates(self):
         spec = distractor_scene(3)
@@ -223,17 +224,17 @@ class TestCandidates:
         )
         pyr, boxes, _ = render_frame(spec, 1)
         assert boxes[0] is None
-        dets = synth_candidates(pyr, boxes, spec.objects[0].identity, 0.05, 3, seed=1)
+        cands = synth_candidates(pyr, boxes, spec.objects[0].identity, 0.05, 3, seed=1)
         # every candidate derives from the distractor; none can outscore their max
-        assert len(dets) == 3
-        best = max(d.confidence for d in dets)
-        assert all(d.confidence <= best for d in dets)
+        assert len(cands) == 3
+        assert cands.box[0].tolist() == boxes[1].as_list()
 
     def test_candidate_count(self):
         spec = distractor_scene(0)
         pyr, boxes, _ = render_frame(spec, 0)
-        dets = synth_candidates(pyr, boxes, unit(16), 0.05, 3, seed=0)
-        assert len(dets) == 6  # two visible objects, three candidates each
+        cands = synth_candidates(pyr, boxes, unit(16), 0.05, 3, seed=0)
+        assert len(cands) == 6  # two visible objects, three candidates each
+        assert cands.box.shape == (6, 4) and cands.confidence.shape == (6,)
 
 
 class TestScoreCandidates:
@@ -250,10 +251,10 @@ class TestScoreCandidates:
             for _ in range(n)
         ]
         template = np.zeros(depth) if zero_template else rng.normal(size=depth)
-        dets = score_candidates(boxes, *candidate_features(pyr, boxes), template)
+        cands = score_candidates(boxes, *candidate_features(pyr, boxes), template)
         expected = [cosine_confidence(extract_template(pyr, b), template) for b in boxes]
-        assert [d.box for d in dets] == boxes
-        assert np.array([d.confidence for d in dets]).tobytes() == np.array(expected).tobytes()
+        assert cands.box.tolist() == [b.as_list() for b in boxes]
+        assert cands.confidence.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_features_of_no_boxes(self):
         features, norms = candidate_features(make_pyramid(depth=5), [])

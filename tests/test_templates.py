@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,26 @@ class TestSolveRidge:
     def test_labels_must_be_one_hot(self):
         with pytest.raises(InvalidInputError):
             RegressionProblem(np.eye(2), np.array([1.0, 1.0]), lam=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_refused(self, bad):
+        a = np.full((5, 3), bad)
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            RegressionProblem(a, np.eye(5)[0], lam=0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(InvalidInputError, match="lambda must be finite and >= 0"):
+            RegressionProblem(np.eye(2), np.eye(2)[0], lam=lam)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5)])  # primal, dual
+    def test_gram_overflow_refused_without_warning(self, shape):
+        a = np.random.default_rng(0).normal(size=shape) * 1e160
+        problem = RegressionProblem(a, np.eye(shape[0])[0], lam=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="overflows float64"):
+                solve_ridge(problem)
 
 
 @st.composite
