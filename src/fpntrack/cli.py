@@ -186,30 +186,32 @@ def scene_from_json(doc: dict) -> SceneSpec:
 def cmd_synth(args) -> int:
     doc = json.loads(Path(args.scene).read_text())
     spec = scene_from_json(doc)
+    # trajectories are pure, so a scene without an init box is refused before
+    # anything is rendered or written
+    ti = spec.target_index
+    target_boxes = map(spec.objects[ti].trajectory, range(spec.num_frames))
+    init_box = next((box for box in target_boxes if box is not None), None)
+    if init_box is None:
+        raise UsageError("target is never visible; cannot set an init box")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     frames = []
     gt_frames = []
-    init_box = None
     for f in range(spec.num_frames):
         pyramid, boxes, masks = synth.render_frame(spec, f)
         pyr_path = out / f"frame_{f:04d}.fpyr"
         container.write_container(pyramid, pyr_path)
+        del pyramid  # free this frame's cells before the next frame is rendered
         cand_path = out / f"candidates_{f:04d}.json"
         cand_boxes = synth.jittered_boxes(
             boxes, args.jitter, args.candidates_per_object, spec.seed * 100003 + f
         )
         container.save_candidates(cand_boxes, cand_path)
-        ti = spec.target_index
         gt = metrics.GroundtruthFrame(
             frame=f, present=boxes[ti] is not None, box=boxes[ti], mask=masks[ti]
         )
         gt_frames.append(gt)
-        if init_box is None and boxes[ti] is not None:
-            init_box = boxes[ti]
         frames.append(container.ManifestFrame(f, pyr_path, cand_path))
-    if init_box is None:
-        raise UsageError("target is never visible; cannot set an init box")
     container.save_manifest(container.SequenceManifest(init_box, frames), out / "manifest.json")
     container.write_groundtruth(metrics.GroundtruthSequence(gt_frames), out / "gt.jsonl")
     print(out / "manifest.json")

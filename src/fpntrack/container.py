@@ -6,6 +6,13 @@ followed by a raw little-endian float32 payload. Byte offsets in the
 header are relative to the start of the payload. Unknown header keys are
 ignored for forward compatibility.
 
+`write_container` writes the header line and then each level's float32 buffer
+straight from its array, so the payload is never copied into one `bytes`;
+`pyramid_to_bytes` returns the same bytes in memory. It writes a new file
+beside the path and renames that onto it, so a reader never sees a partly
+written container, a failed write leaves nothing behind, and a pyramid can
+be written over the file it was read from.
+
 `read_container` maps the file copy-on-write rather than reading the payload
 into fresh memory. Its levels are writable views of the map, and writes never
 reach the file. Each live pyramid read from a file holds one open file
@@ -29,18 +36,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContainerError, InvalidInputError
-from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask
+from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, first_bad_box_row
 from .metrics import GroundtruthColumns, GroundtruthSequence, TrackColumns
 
 CONTAINER_VERSION = 1
 
 
-def pyramid_to_bytes(pyramid: FeaturePyramid) -> bytes:
+def _header_line(pyramid: FeaturePyramid) -> bytes:
+    """A container's header line, newline included, for the pyramid's levels
+    laid out back to back as float32."""
     records = []
-    chunks = []
     offset = 0
     for fm, stride in zip(pyramid.levels, pyramid.strides):
-        raw = np.ascontiguousarray(fm.data, dtype="<f4").tobytes()
+        length = 4 * fm.data.size
         records.append(
             {
                 "level": fm.level,
@@ -50,17 +58,26 @@ def pyramid_to_bytes(pyramid: FeaturePyramid) -> bytes:
                 "dtype": "f32",
                 "stride": stride,
                 "byte_offset": offset,
-                "byte_length": len(raw),
+                "byte_length": length,
             }
         )
-        chunks.append(raw)
-        offset += len(raw)
+        offset += length
     header = {
         "version": CONTAINER_VERSION,
         "image_size": [pyramid.image_height, pyramid.image_width],
         "levels": records,
     }
-    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + b"".join(chunks)
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n"
+
+
+def _payload(fm: FeatureMap) -> np.ndarray:
+    """A level's payload: its data as a C-contiguous little-endian float32 array,
+    the data itself when it already is one."""
+    return np.ascontiguousarray(fm.data, dtype="<f4")
+
+
+def pyramid_to_bytes(pyramid: FeaturePyramid) -> bytes:
+    return _header_line(pyramid) + b"".join(_payload(fm).tobytes() for fm in pyramid.levels)
 
 
 def _split(buf) -> tuple[bytes, np.ndarray]:
@@ -118,10 +135,6 @@ def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
                 f"levels {l0} and {l1} declare overlapping byte ranges "
                 f"[{s0}, {e0}) and [{s1}, {e1})"
             )
-    maps = [
-        FeatureMap(level, np.frombuffer(payload, "<f4", h * w * d, off).reshape(h, w, d))
-        for level, (h, w, d), off, _ in parsed
-    ]
     strides = [stride for *_, stride in parsed]
     image = header.get("image_size")
     if image is None:
@@ -132,13 +145,35 @@ def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
                              f"of positive integers, got {image!r}")
     ih, iw = image
     try:
+        maps = [
+            FeatureMap(level, np.frombuffer(payload, "<f4", h * w * d, off).reshape(h, w, d))
+            for level, (h, w, d), off, _ in parsed
+        ]
         return FeaturePyramid(maps, strides=tuple(strides), image_height=ih, image_width=iw)
     except InvalidInputError as exc:
         raise ContainerError(f"container holds an invalid pyramid: {exc}") from exc
 
 
 def write_container(pyramid: FeaturePyramid, path) -> None:
-    Path(path).write_bytes(pyramid_to_bytes(pyramid))
+    """Write the bytes of `pyramid_to_bytes`: the header line, then each level
+    straight from its array (a level that is not C-contiguous `<f4` is
+    converted on its own).
+
+    The bytes go to a new file beside the path, which then replaces it. So a
+    pyramid read from the path, whose levels map the old file, stays readable
+    while it is written.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_header_line(pyramid))
+            for fm in pyramid.levels:
+                fh.write(_payload(fm))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path) -> FeaturePyramid:
@@ -424,24 +459,9 @@ def _frame_value(value) -> int:
 def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
     """(N, 4) float64 boxes [x, y, w, h], each passing `BoundingBox`'s checks."""
     box = _column(values, _box_values, np.float64, "fiub", (4,), bad, what)
-    finite = np.isfinite(box).all(axis=1)
-    bad.report_rows(~finite, lambda i: f"bad {what}: non-finite box {tuple(box[i].tolist())}")
-    w, h = box[:, 2], box[:, 3]
-    with np.errstate(over="ignore"):
-        area = w * h
-        edges = box[:, :2] + box[:, 2:]
-    bad.report_rows(
-        finite & ((w <= 0) | (h <= 0) | (area == 0)),
-        lambda i: f"bad {what}: degenerate box: w={float(w[i])}, h={float(h[i])}",
-    )
-    bad.report_rows(
-        finite & (area == np.inf),
-        lambda i: f"bad {what}: box area overflows: w={float(w[i])}, h={float(h[i])}",
-    )
-    bad.report_rows(
-        finite & np.isinf(edges).any(axis=1),
-        lambda i: f"bad {what}: box edge overflows: x + w or y + h of {tuple(box[i].tolist())}",
-    )
+    refused = first_bad_box_row(box)
+    if refused is not None:
+        bad.report(refused[0], f"bad {what}: {refused[1]}")
     return box
 
 

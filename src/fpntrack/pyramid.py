@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +22,10 @@ BASE_LEVEL = 4
 CANONICAL_SIZE = 224.0
 MIN_LEVEL = 2
 MAX_LEVEL = 5
+
+# rows up to which `first_bad_box_row` tests each row as Python floats: on
+# fewer rows the fixed cost of a dozen numpy calls outweighs the per-row loop
+FEW_BOXES = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,38 @@ class BoundingBox:
 
     def as_list(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
+
+
+def first_bad_box_row(box: np.ndarray) -> Optional[tuple[int, str]]:
+    """The first of (N, 4) rows [x, y, w, h] that `BoundingBox` refuses, with
+    its message; None when it accepts every row.
+
+    One pass passes the rows that are surely valid: w > 0 with 0 < w * h < inf
+    (so h > 0 and both are finite) and finite far edges (so x and y are
+    finite). NaN fails every comparison. Up to `FEW_BOXES` rows it runs on
+    Python floats, which is faster than numpy's per-call cost on a few rows;
+    more rows take one vectorized pass. Only the rows it flags are built as a
+    `BoundingBox`, which decides and words the refusal.
+    """
+    if len(box) <= FEW_BOXES:
+        flagged = [
+            i for i, (x, y, w, h) in enumerate(box.tolist())
+            if not (w > 0 and 0 < w * h < math.inf
+                    and abs(x + w) < math.inf and abs(y + h) < math.inf)
+        ]
+    else:
+        w, h = box[:, 2], box[:, 3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = w * h
+            edges = box[:, :2] + box[:, 2:]
+        good = (w > 0) & (area > 0) & (area < np.inf) & np.isfinite(edges).all(axis=1)
+        flagged = np.flatnonzero(~good).tolist()
+    for i in flagged:
+        try:
+            BoundingBox(*box[i].tolist())
+        except InvalidInputError as exc:
+            return i, str(exc)
+    return None
 
 
 @dataclass(frozen=True)

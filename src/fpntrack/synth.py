@@ -3,12 +3,16 @@
 Objects are identity embeddings painted onto pyramid cells whose
 receptive-field centers fall inside the object box, scaled by a separable
 cosine window (1 at the box center, 0 at the edges). A frame's levels are
-row-major views into one flat array of cells, so each object costs one
-``pyramid.in_box`` test of the cached ``pyramid.cell_centres`` of every
-level, one window per axis on the cells it covers and one assignment. Noise
-is then drawn level by level, finest first. Noise and jitter use the
-counter-based Philox generator keyed on (seed, frame) so frames can be
-rendered in any order, or in parallel, with identical results.
+row-major float32 views into one array of cells, finest level first, so each
+object costs one ``pyramid.in_box`` test of the cached
+``pyramid.cell_centres`` of every level and one window per axis on the cells
+it paints. Noise is drawn in blocks of whole cells (``BLOCK_ELEMENTS``) into
+one reused float64 buffer; each block gets its painted cells (window times
+identity, formed block by block) added and is cast into the float32 cells
+once, so no float64 array outgrows the block.
+Noise and jitter use the counter-based Philox generator keyed on
+(seed, frame) so frames can be rendered in any order, or in parallel, with
+identical results.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .rng import philox
 from .tracker import Candidates
 
 Trajectory = Callable[[int], Optional[BoundingBox]]
+
+# float64 elements per block of cells in `render_frame`'s noise draw: 1 MB,
+# 512 cells of depth 256; a cell deeper than this is a block of its own
+BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -84,7 +92,8 @@ class SceneSpec:
 
 
 def _cosine_window(coords: np.ndarray, center: float, half: float) -> np.ndarray:
-    u = np.clip((coords - center) / half, -1.0, 1.0)
+    # np.clip's values, without its Python wrapper's cost on a few dozen cells
+    u = np.minimum(np.maximum((coords - center) / half, -1.0), 1.0)
     return 0.5 * (1.0 + np.cos(np.pi * u))
 
 
@@ -104,27 +113,15 @@ def render_frame(
         (math.ceil(spec.image_height / s), math.ceil(spec.image_width / s)) for s in strides
     )
     cy, cx = cell_centres(shapes, strides)
-    cells = np.zeros((cy.size, spec.depth), dtype=np.float64)
-    for obj, box in zip(spec.objects, boxes):
-        if box is None:
-            continue
-        inside = np.flatnonzero(in_box(cy, cx, box))
-        if inside.size == 0:
-            continue
-        fy = _cosine_window(cy[inside], box.cy, box.h / 2)
-        fx = _cosine_window(cx[inside], box.cx, box.w / 2)
-        cells[inside] = (fy * fx)[:, None] * obj.identity
-    rng = philox(spec.seed, frame)
+    painted = _painted_cells(spec.objects, boxes, cy, cx)
+    cells = np.empty((cy.size, spec.depth), dtype=np.float32)
+    rng = philox(spec.seed, frame) if spec.noise_sigma > 0 else None
+    _fill_cells(rng, spec.noise_sigma, painted, cells)
     maps = []
     start = 0
     for lvl, (h, w) in zip(spec.levels, shapes):
-        data = cells[start : start + h * w].reshape(h, w, spec.depth)
+        maps.append(FeatureMap(lvl, cells[start : start + h * w].reshape(h, w, spec.depth)))
         start += h * w
-        # one draw per level, finest first, keeps the Philox stream of the
-        # per-level renderer and no temporary outgrows the largest level
-        if spec.noise_sigma > 0:
-            data += rng.normal(0.0, spec.noise_sigma, size=data.shape)
-        maps.append(FeatureMap(lvl, data))
     pyramid = FeaturePyramid(
         maps, image_height=spec.image_height, image_width=spec.image_width
     )
@@ -133,6 +130,66 @@ def render_frame(
         for b in boxes
     ]
     return pyramid, boxes, masks
+
+
+def _painted_cells(objects, boxes, cy, cx) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The cells each visible object paints: ascending indices, their (n,)
+    cosine window and the object's (D,) identity.
+
+    An object paints the cells whose centres its box holds, less those of the
+    objects after it, which occlude it, with its identity times its cosine
+    window. No cell is painted twice.
+    """
+    painted = []
+    covered = np.zeros(cy.size, dtype=bool)
+    for obj, box in zip(reversed(objects), reversed(boxes)):
+        if box is None:
+            continue
+        inside = in_box(cy, cx, box)
+        rows = np.flatnonzero(inside & ~covered)
+        covered |= inside
+        if rows.size:
+            fy = _cosine_window(cy[rows], box.cy, box.h / 2)
+            fx = _cosine_window(cx[rows], box.cx, box.w / 2)
+            painted.append((rows, fy * fx, obj.identity))
+    return painted
+
+
+def _fill_cells(rng, sigma: float, painted, cells: np.ndarray) -> None:
+    """Fill the float32 ``cells`` with N(0, sigma) noise plus the painted cells.
+
+    The cells are filled in blocks of whole cells through one reused float64
+    buffer, in cell order. With sigma > 0 the normals are drawn into it, so
+    the Philox stream is the one a single ``rng.normal(0.0, sigma,
+    size=cells.shape)`` draws; scaling by sigma and adding 0.0 is what
+    ``normal`` computes per draw, and the block's painted cells are added.
+    With sigma = 0 they are assigned, not added to 0.0, so a -0.0 window
+    product keeps its sign. Each painted cell's features (window times
+    identity) are formed within its block, and the block is cast to float32
+    once, so no float64 array outgrows the buffer.
+    """
+    n, depth = cells.shape
+    step = max(1, BLOCK_ELEMENTS // depth)
+    buf = np.empty((min(step, n), depth))
+    starts = range(0, n, step)
+    bounds = np.array([*starts, n])
+    cuts = [np.searchsorted(rows, bounds) for rows, _, _ in painted]
+    for k, a in enumerate(starts):
+        block = buf[: min(step, n - a)]
+        if sigma > 0:
+            rng.standard_normal(out=block)
+            block *= sigma
+            block += 0.0
+        else:
+            block.fill(0.0)
+        for (rows, window, identity), cut in zip(painted, cuts):
+            lo, hi = cut[k], cut[k + 1]
+            paint = window[lo:hi, None] * identity
+            if sigma > 0:
+                block[rows[lo:hi] - a] += paint
+            else:
+                block[rows[lo:hi] - a] = paint
+        cells[a : a + len(block)] = block
 
 
 def jittered_boxes(

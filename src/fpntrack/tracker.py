@@ -25,13 +25,17 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .metrics import TrackColumns
-from .pyramid import BoundingBox, FeaturePyramid, box_iou_rows
+from .pyramid import BoundingBox, FeaturePyramid, box_iou_rows, first_bad_box_row
 from .templates import TemplateVector, build_template
 
 
 @dataclass(frozen=True)
 class Candidates:
-    """One frame's candidates: (K, 4) float64 boxes [x, y, w, h], (K,) float64 confidences."""
+    """One frame's candidates: (K, 4) float64 boxes [x, y, w, h], (K,) float64 confidences.
+
+    Every box row passes `BoundingBox`'s checks (`pyramid.first_bad_box_row`),
+    and every confidence is in [0, 1].
+    """
 
     box: np.ndarray
     confidence: np.ndarray
@@ -43,6 +47,9 @@ class Candidates:
         bad = ~((confidence >= 0.0) & (confidence <= 1.0))
         if bad.any():
             raise InvalidInputError(f"confidence {float(confidence[bad.argmax()])} outside [0, 1]")
+        refused = first_bad_box_row(box)
+        if refused is not None:
+            raise InvalidInputError(f"candidate {refused[0]}: {refused[1]}")
 
     @classmethod
     def from_boxes(cls, boxes: Sequence[BoundingBox], confidence) -> "Candidates":

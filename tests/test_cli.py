@@ -143,6 +143,16 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "seq").exists()
 
+    def test_target_never_visible_fails_before_writing(self, tmp_path, capsys):
+        objects = [dict(SCENE["objects"][0], absent_frames=[0, 1, 2]), SCENE["objects"][1]]
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(SCENE, num_frames=3, objects=objects)))
+        out = tmp_path / "seq"
+        rc = main(["synth", "--scene", str(scene_path), "--out-dir", str(out)])
+        assert rc == 1
+        assert "target is never visible" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize(
         "change, message",
         [({"depth": 0}, "bad scene description: depth must be at least 1, got 0"),

@@ -1,11 +1,13 @@
 import gc
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpntrack import container
 from fpntrack.container import (
     ManifestFrame,
     SequenceManifest,
@@ -84,6 +86,14 @@ class TestContainerRoundtrip:
         bad = json.dumps(header).encode() + buf[newline:]
         with pytest.raises(ContainerError, match="overlap"):
             pyramid_from_bytes(bad)
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_non_finite_payload_is_a_container_error(self, tmp_path, from_file):
+        buf = pyramid_to_bytes(small_pyramid())[:-4] + np.array([np.inf], "<f4").tobytes()
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(buf)
+        with pytest.raises(ContainerError, match="invalid pyramid: feature map contains NaN or Inf"):
+            read_container(path) if from_file else pyramid_from_bytes(buf)
 
     def test_wrong_declared_length_rejected(self):
         buf = pyramid_to_bytes(small_pyramid())
@@ -249,6 +259,76 @@ class TestMappedRead:
         del held
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == baseline
+
+
+@st.composite
+def laid_out_pyramids(draw) -> FeaturePyramid:
+    """A pyramid whose levels come in the layouts `write_container` meets:
+    C-contiguous float32, strided and transposed float32 views, and data that
+    is not native float32 (float64, float16, big-endian) set after construction."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    depth, base = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    maps = []
+    for i in range(draw(st.integers(1, 3))):
+        size = max(1, base >> i)
+        data = rng.normal(size=(size, size, depth))
+        layout = draw(st.sampled_from(
+            ["contiguous", "strided", "transposed", "float64", "float16", ">f4"]))
+        if layout == "strided":
+            wide = rng.normal(size=(2 * size, size, 2 * depth)).astype(np.float32)
+            fm = FeatureMap(i, wide[::2, :, ::2])
+        elif layout == "transposed":
+            fm = FeatureMap(i, data.astype(np.float32).transpose(1, 0, 2))
+        else:
+            fm = FeatureMap(i, data)
+            if layout != "contiguous":
+                fm.data = data.astype(layout)
+        maps.append(fm)
+    return FeaturePyramid(maps)
+
+
+class TestStreamedWrite:
+    @settings(max_examples=150, deadline=None)
+    @given(pyr=laid_out_pyramids())
+    def test_file_bytes_equal_pyramid_to_bytes(self, tmp_path_factory, pyr):
+        path = tmp_path_factory.mktemp("write") / "p.fpyr"
+        write_container(pyr, path)
+        assert path.read_bytes() == pyramid_to_bytes(pyr)
+        for fm, out in zip(pyr.levels, read_container(path).levels):
+            assert out.data.tobytes() == fm.data.astype("<f4").tobytes()
+
+    def test_pyramid_written_over_the_file_it_maps(self, tmp_path):
+        # the levels map the old file while the new one is written
+        path = tmp_path / "p.fpyr"
+        write_container(small_pyramid(3), path)
+        pyr = read_container(path)
+        pyr.levels[1].data[0, 0, 0] = 5.0
+        expected = pyramid_to_bytes(pyr)
+        write_container(pyr, path)
+        assert path.read_bytes() == expected
+        assert os.listdir(tmp_path) == ["p.fpyr"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, existing):
+        # the header and the first level are written when the second fails
+        path = tmp_path / "p.fpyr"
+        if existing:
+            write_container(small_pyramid(3), path)
+        before = path.read_bytes() if existing else None
+        pyr = small_pyramid(4)
+        payload = container._payload
+
+        def failing_payload(fm):
+            if fm is pyr.levels[1]:
+                raise OSError(28, "No space left on device")
+            return payload(fm)
+
+        with mock.patch.object(container, "_payload", failing_payload):
+            with pytest.raises(OSError, match="No space left"):
+                write_container(pyr, path)
+        if existing:
+            assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == (["p.fpyr"] if existing else [])
 
 
 class TestManifest:

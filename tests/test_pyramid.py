@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpntrack import pyramid
 from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import (
     BoundingBox,
@@ -13,6 +15,7 @@ from fpntrack.pyramid import (
     assign_level,
     center_cell,
     extract_template,
+    first_bad_box_row,
 )
 
 
@@ -26,6 +29,12 @@ def make_pyramid(depth=3, base=32, fill=None):
             data[:] = fill(lvl)
         maps.append(FeatureMap(lvl, data))
     return FeaturePyramid(maps)
+
+
+_BOX_VALUES = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from([0.0, -0.0, 1.0, 1e-200, 1e200, 1e308, -1e308, 5e-324]),
+)
 
 
 class TestBoundingBox:
@@ -48,6 +57,34 @@ class TestBoundingBox:
         # w * h is finite, but x + w (or y + h) is inf, so no overlap could be scored
         with pytest.raises(InvalidInputError, match="box edge overflows"):
             BoundingBox(*box)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(*[_BOX_VALUES] * 4), max_size=5), st.sampled_from([0, 5]))
+    def test_first_bad_row_is_the_first_bounding_box_refuses(self, rows, few):
+        # FEW_BOXES 0 sends every row through the vectorized pass, 5 none
+        expected = None
+        for i, row in enumerate(rows):
+            try:
+                BoundingBox(*row)
+            except InvalidInputError as exc:
+                expected = (i, str(exc))
+                break
+        with mock.patch.object(pyramid, "FEW_BOXES", few):
+            assert first_bad_box_row(np.array(rows, dtype=np.float64).reshape(-1, 4)) == expected
+
+    @pytest.mark.parametrize("few", [0, 5])
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 0, 1, 1), (0, -math.inf, 1, 1), (0, 0, 0, 1), (0, 0, 1, -1),
+        (0, 0, math.nan, 1), (0, 0, 1, math.inf), (0, 0, 1e-200, 1e-200),
+        (0, 0, 1e200, 1e200), (1e308, 0, 1e308, 1), (0, 1e308, 1, 1e308),
+    ])
+    def test_each_refusal_found_after_valid_rows(self, bad, few):
+        # every check of either pass, on a row behind valid ones and before another bad one
+        with pytest.raises(InvalidInputError) as refused:
+            BoundingBox(*map(float, bad))
+        rows = np.array([(0, 0, 1, 1), (5, 5, 2, 3), bad, (math.nan,) * 4])
+        with mock.patch.object(pyramid, "FEW_BOXES", few):
+            assert first_bad_box_row(rows) == (2, str(refused.value))
 
 
 class TestAssignLevel:

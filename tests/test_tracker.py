@@ -204,6 +204,27 @@ class TestTrackValidation:
         with pytest.raises(InvalidInputError, match=r"confidence nan outside \[0, 1\]"):
             cands((0, 0.5), (0, float("nan")))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [([float("nan"), 0, 10, 10], r"candidate 1: non-finite box \(nan, 0\.0, 10\.0, 10\.0\)"),
+         ([0, 0, 0, 10], r"candidate 1: degenerate box: w=0\.0, h=10\.0"),
+         ([0, 0, 10, -1], r"candidate 1: degenerate box: w=10\.0, h=-1\.0"),
+         ([0, 0, 1e200, 1e200], r"candidate 1: box area overflows"),
+         ([1e308, 0, 1e308, 1], r"candidate 1: box edge overflows")],
+        ids=["nan", "zero-width", "negative-height", "area-overflow", "edge-overflow"],
+    )
+    def test_bad_box_row_refused_naming_it(self, row, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Candidates(np.array([[0, 0, 10, 10], row, [float("inf"), 0, 1, 1]]), np.full(3, 0.5))
+
+    def test_nan_box_never_reaches_step(self):
+        # step used to select the NaN row (its blend is NaN, and argmax returns
+        # the first NaN) and carry it as the previous box
+        state = TrackerState(previous=(0.0, 0.0, 10.0, 10.0))
+        with pytest.raises(InvalidInputError, match="candidate 0: non-finite box"):
+            step(state, Candidates(np.array([[np.nan, 0, 10, 10], [0, 0, 10, 10]]),
+                                   np.array([0.2, 0.9])), TrackerConfig())
+
     def test_shapes_must_agree(self):
         with pytest.raises(InvalidInputError, match=r"are not \(K, 4\), \(K,\)"):
             Candidates(np.zeros((2, 4)), np.zeros(3))
