@@ -10,7 +10,10 @@ image rows of about 1 MB (``BLOCK_ELEMENTS`` float64 values), each converted
 into one reused buffer, so no level-sized float64 temporary is made. Each row
 goes through the same matrix-vector product as in the whole-level
 ``data.astype(np.float64) @ values``, so the scores are bitwise equal to it
-for row-major levels (every level this package decodes or builds).
+for row-major levels (every level this package decodes or builds). Each
+block is checked finite (``pyramid.finite_features``) while it is in cache,
+before its product, so a level mapped from a file is read from memory once
+and a non-finite feature is refused whatever the template holds.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .pyramid import FeatureMap, FeaturePyramid
+from .pyramid import FeatureMap, FeaturePyramid, finite_features
 
 MODES = ("tracking", "detection")
 
@@ -78,6 +81,7 @@ def similarity(level_map: FeatureMap, template) -> SimilarityMap:
     for r in range(0, height, rows):
         block = buf[: min(rows, height - r)]
         block[...] = data[r : r + len(block)]
+        finite_features(block, level_map)
         np.matmul(block, values, out=scores[r : r + len(block)])
     return SimilarityMap(level_map.level, scores)
 

@@ -245,7 +245,7 @@ def _template_kwargs(args) -> dict:
 
 
 def cmd_solve_template(args) -> int:
-    pyramid = container.read_container(args.pyramid)
+    pyramid = container.map_container(args.pyramid)
     box = _box_in_image(_parse_box(args.box), f"--box {args.box}", pyramid)
     template = templates.build_template(
         pyramid, box, args.template_mode.replace("-", "_"), **_template_kwargs(args)
@@ -264,7 +264,7 @@ def cmd_solve_template(args) -> int:
 
 
 def cmd_attend(args) -> int:
-    pyramid = container.read_container(args.pyramid)
+    pyramid = container.map_container(args.pyramid)
     template = container.load_template(args.template)
     if args.mode == "detection":
         sims = [np.ones((fm.height, fm.width)) for fm in pyramid.levels]
@@ -298,7 +298,7 @@ def _frame_candidates(mf, pyramid, template) -> Candidates:
     Reads the frame's container unless its pyramid is passed in.
     """
     if pyramid is None:
-        pyramid = container.read_container(mf.pyramid)
+        pyramid = container.map_container(mf.pyramid)
     records = [] if mf.candidates is None else container.load_candidates(mf.candidates)
     unscored = [box for box, conf in records if conf is None]
     scored = iter(synth.score_candidates(
@@ -311,7 +311,7 @@ def cmd_track(args) -> int:
     manifest = container.load_manifest(args.sequence)
     if not manifest.frames:
         raise UsageError("manifest has no frames")
-    init_pyramid = container.read_container(manifest.frames[0].pyramid)
+    init_pyramid = container.map_container(manifest.frames[0].pyramid)
     init_box = _parse_box(args.init) if args.init else manifest.init_box
     src = f"--init {args.init}" if args.init else f"{args.sequence}: init_box {init_box.as_list()}"
     _box_in_image(init_box, src, init_pyramid)

@@ -15,14 +15,25 @@ be written over the file it was read from.
 
 `read_container` maps the file copy-on-write rather than reading the payload
 into fresh memory. Its levels are writable views of the map, and writes never
-reach the file. Each live pyramid read from a file holds one open file
-descriptor until its last level is dropped, so holding more than `ulimit -n`
-at once fails. A file truncated by another process while it is mapped raises
-SIGBUS, not ContainerError, when a lost page is read.
+reach the file; it checks every value finite. Each live pyramid mapped from a
+file holds one open file descriptor until its last level is dropped, so
+holding more than `ulimit -n` at once fails. A file truncated by another
+process while it is mapped raises SIGBUS, not ContainerError, when a lost page
+is read.
+
+`map_container`, which the CLI uses, makes the same header checks and no pass
+over the values, and each of its errors starts with the path. Its levels are
+`pyramid.MappedFeatureMap`s, whose values are checked finite by the code that
+reads them (`pyramid.finite_features`), naming the file and the level. So
+`attend` checks every value as it computes the scores, `solve-template` and
+`track` check the cells they gather, and `attend --mode detection` reads the
+header only. A non-finite value in a cell a command never reads no longer
+fails it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import mmap
@@ -36,7 +47,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContainerError, InvalidInputError
-from .pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, first_bad_box_row
+from .pyramid import (
+    BoundingBox,
+    FeatureMap,
+    FeaturePyramid,
+    MappedFeatureMap,
+    Mask,
+    first_bad_box_row,
+)
 from .metrics import GroundtruthColumns, GroundtruthSequence, TrackColumns
 
 CONTAINER_VERSION = 1
@@ -91,11 +109,12 @@ def _split(buf) -> tuple[bytes, np.ndarray]:
 def pyramid_from_bytes(buf: bytes) -> FeaturePyramid:
     """Decode a container; the levels share one writable copy of the payload."""
     header_line, payload = _split(buf)
-    return _decode(header_line, payload.copy())
+    return _decode(header_line, payload.copy(), FeatureMap)
 
 
-def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
-    """Validate the header against the payload; each level is a view into the payload."""
+def _decode(header_line: bytes, payload: np.ndarray, level_type) -> FeaturePyramid:
+    """Validate the header against the payload; each level is a view into the
+    payload, built by level_type(level, data)."""
     try:
         header = json.loads(header_line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -146,7 +165,7 @@ def _decode(header_line: bytes, payload: np.ndarray) -> FeaturePyramid:
     ih, iw = image
     try:
         maps = [
-            FeatureMap(level, np.frombuffer(payload, "<f4", h * w * d, off).reshape(h, w, d))
+            level_type(level, np.frombuffer(payload, "<f4", h * w * d, off).reshape(h, w, d))
             for level, (h, w, d), off, _ in parsed
         ]
         return FeaturePyramid(maps, strides=tuple(strides), image_height=ih, image_width=iw)
@@ -176,17 +195,37 @@ def write_container(pyramid: FeaturePyramid, path) -> None:
         raise
 
 
-def read_container(path) -> FeaturePyramid:
-    """Decode a container file mapped copy-on-write; the levels are views of the map.
-
-    See the module docstring for the file descriptor each live pyramid holds
-    and for SIGBUS on a file truncated while mapped.
-    """
+def _mapped(path) -> mmap.mmap:
+    """The file mapped copy-on-write."""
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:  # mmap refuses an empty file
             raise ContainerError("no header terminator found in first bytes of container")
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    return _decode(*_split(buf))
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+
+
+def read_container(path) -> FeaturePyramid:
+    """Decode a container file mapped copy-on-write, checking every value;
+    the levels are views of the map.
+
+    Its errors are worded as `pyramid_from_bytes`'s, without the path. See the
+    module docstring for the file descriptor each live pyramid holds and for
+    SIGBUS on a file truncated while mapped.
+    """
+    return _decode(*_split(_mapped(path)), FeatureMap)
+
+
+def map_container(path) -> FeaturePyramid:
+    """Decode a container file's header as `read_container` does, with no pass
+    over its values; each ContainerError starts with the path.
+
+    The levels are `MappedFeatureMap`s: the code that reads their values
+    checks what it reads, naming the file and level of a non-finite one.
+    """
+    level_type = functools.partial(MappedFeatureMap, source=str(path))
+    try:
+        return _decode(*_split(_mapped(path)), level_type)
+    except ContainerError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
 
 
 def _box_values(vals) -> list[float]:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ContainerError, InvalidInputError
 
 # The FPN box-to-level rule; see assign_level.
 BASE_LEVEL = 4
@@ -182,13 +182,16 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
+        self._check_shape()
+        if not np.isfinite(self.data).all():
+            raise InvalidInputError("feature map contains NaN or Inf")
+
+    def _check_shape(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float32)
         if self.data.ndim != 3:
             raise InvalidInputError(f"feature data must be 3-D, got shape {self.data.shape}")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1 or self.data.shape[2] < 1:
             raise InvalidInputError(f"empty feature map: shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise InvalidInputError("feature map contains NaN or Inf")
 
     @property
     def height(self) -> int:
@@ -201,6 +204,40 @@ class FeatureMap:
     @property
     def depth(self) -> int:
         return self.data.shape[2]
+
+
+@dataclass
+class MappedFeatureMap(FeatureMap):
+    """A level mapped from the container file `source`.
+
+    Building it checks the shape but makes no pass over the values: the code
+    that reads them checks what it reads with `finite_features`.
+    """
+
+    source: str
+
+    def __post_init__(self):
+        self._check_shape()
+
+
+def finite_features(values: np.ndarray, fm) -> np.ndarray:
+    """`values`, read from the level `fm`, once each is known to be finite.
+
+    `fm` is a FeatureMap, or a sequence of them: the level each row of
+    `values` was read from. A non-finite value is refused naming its level:
+    as a ContainerError that also names the file for a `MappedFeatureMap`, as
+    an InvalidInputError for a level built in memory (which holds one only if
+    its data was changed after it was built).
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    if not isinstance(fm, FeatureMap):
+        fm = fm[int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))]
+    where = f"level {fm.level}: feature map contains NaN or Inf"
+    if isinstance(fm, MappedFeatureMap):
+        raise ContainerError(f"{fm.source}: {where}")
+    raise InvalidInputError(where)
 
 
 def _halving_ok(coarse: int, fine: int) -> bool:
@@ -331,11 +368,19 @@ def center_cell(box: BoundingBox, pyramid: FeaturePyramid, level: int) -> tuple[
     return row, col
 
 
-def extract_template(pyramid: FeaturePyramid, box: BoundingBox) -> np.ndarray:
-    """Read the D-vector at the box center in its assigned level."""
+def centre_feature(pyramid: FeaturePyramid, box: BoundingBox) -> tuple[FeatureMap, np.ndarray]:
+    """The box's assigned level and a view of the D-vector at the box center
+    in it, not checked finite."""
     level = template_level(pyramid, box)
     row, col = center_cell(box, pyramid, level)
-    return pyramid.level_map(level).data[row, col].copy()
+    fm = pyramid.level_map(level)
+    return fm, fm.data[row, col]
+
+
+def extract_template(pyramid: FeaturePyramid, box: BoundingBox) -> np.ndarray:
+    """Read the D-vector at the box center in its assigned level."""
+    fm, feature = centre_feature(pyramid, box)
+    return finite_features(feature.copy(), fm)
 
 
 def box_iou(a: BoundingBox, b: BoundingBox) -> float:

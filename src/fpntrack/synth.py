@@ -30,7 +30,8 @@ from .pyramid import (
     FeaturePyramid,
     Mask,
     cell_centres,
-    extract_template,
+    centre_feature,
+    finite_features,
     in_box,
 )
 from .rng import philox
@@ -237,11 +238,15 @@ def candidate_features(
     """The boxes' centre features as float64 rows, and each row's norm.
 
     Nothing here depends on a template, so one read serves every template
-    the candidates are scored against.
+    the candidates are scored against. The rows are checked finite once, as
+    one block.
     """
     features = np.empty((len(boxes), pyramid.depth))
+    maps = []
     for i, box in enumerate(boxes):
-        features[i] = extract_template(pyramid, box)
+        fm, features[i] = centre_feature(pyramid, box)
+        maps.append(fm)
+    finite_features(features, maps)
     return features, [np.linalg.norm(f) for f in features]
 
 

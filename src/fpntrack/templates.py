@@ -34,6 +34,7 @@ from .pyramid import (
     FeaturePyramid,
     center_cell,
     extract_template,
+    finite_features,
     in_box,
     template_level,
 )
@@ -245,7 +246,7 @@ def sample_negatives(
     out = np.empty((len(chosen), pyramid.levels[0].depth))
     for lvl, level_rows in enumerate(rows):
         sel = level_of == lvl
-        out[sel] = level_rows[chosen[sel] - starts[lvl]]
+        out[sel] = finite_features(level_rows[chosen[sel] - starts[lvl]], pyramid.levels[lvl])
     return list(out), max(0, q - len(out))
 
 
@@ -265,7 +266,7 @@ def sample_positives(
     others = inside[inside != centre]
     rng = philox(0, stream=seed)
     picked = np.concatenate(([centre], others[rng.permutation(len(others))[: p - 1]]))
-    feats = fm.data.reshape(-1, fm.depth)[picked].astype(np.float64)
+    feats = finite_features(fm.data.reshape(-1, fm.depth)[picked].astype(np.float64), fm)
     return list(feats), max(0, p - len(feats))
 
 

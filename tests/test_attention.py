@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from fpntrack import attention
 from fpntrack.attention import attend_pyramid, reweight, similarity, similarity_pyramid
-from fpntrack.errors import InvalidInputError
-from fpntrack.pyramid import FeatureMap, assign_level, center_cell, in_box
+from fpntrack.errors import ContainerError, InvalidInputError
+from fpntrack.pyramid import FeatureMap, MappedFeatureMap, assign_level, center_cell, in_box
 from fpntrack.scenarios import distractor_scene
 from fpntrack.synth import philox, render_frame
 from fpntrack.templates import build_template
@@ -111,6 +111,19 @@ class TestBlockedSimilarity:
         fm = FeatureMap(2, np.full((3, 2, 2), 1e30, dtype=np.float32))
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="NaN or Inf"):
             similarity(fm, np.array([1e300, 1e300]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_where_the_template_is_zero(self, bad):
+        # the refusal does not rest on how the product treats 0 * inf
+        data = np.ones((attention.BLOCK_ELEMENTS // 2 + 3, 1, 2), dtype=np.float32)
+        data[-1, 0, 0] = bad  # in the second block
+        with pytest.raises(ContainerError) as info:
+            similarity(MappedFeatureMap(3, data, "f.fpyr"), np.array([0.0, 1.0]))
+        assert str(info.value) == "f.fpyr: level 3: feature map contains NaN or Inf"
+        fm = FeatureMap(3, np.ones_like(data))
+        fm.data[-1, 0, 0] = bad  # changed after it was built
+        with pytest.raises(InvalidInputError, match="^level 3: feature map contains NaN or Inf"):
+            similarity(fm, np.array([0.0, 1.0]))
 
     def test_nan_template_rejected(self):
         fm = FeatureMap(2, np.ones((3, 2, 2), dtype=np.float32))

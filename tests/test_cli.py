@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpntrack import cli
 from fpntrack.cli import main
 from fpntrack.container import read_container, read_tracks
 from fpntrack.errors import InvalidInputError
-from fpntrack.pyramid import BoundingBox
+from fpntrack.pyramid import BoundingBox, cell_centres, center_cell, in_box, template_level
 from fpntrack.synth import candidate_features, render_frame, score_candidates
 from fpntrack.templates import build_template
 
@@ -93,6 +96,31 @@ class TestUsage:
         assert main(self.reading(command, locked, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(locked) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve-template", "attend", "track"])
+    def test_input_under_a_regular_file_is_user_error_naming_it(
+        self, capsys, tmp_path, scene_dir, command
+    ):
+        # a path through a regular file fails to open (NotADirectoryError) for
+        # every user, root included
+        blocked = tmp_path / "file" / "x"
+        blocked.parent.write_text("{}")
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"values": [1.0] * SCENE["depth"]}))
+        manifest = scene_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["frames"][1]["pyramid"] = str(blocked)
+        manifest.write_text(json.dumps(doc))
+        argv = {
+            "solve-template": ["solve-template", "--pyramid", str(blocked), "--box", "1,1,4,4"],
+            "attend": ["attend", "--pyramid", str(blocked), "--template", str(template),
+                       "--out", str(tmp_path / "sims.fpyr")],
+            "track": ["track", "--sequence", str(manifest), "--out", str(tmp_path / "t.jsonl")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocked) in err
         assert "Traceback" not in err
 
     def test_bad_box_string_fails(self, capsys, scene_dir):
@@ -322,6 +350,145 @@ class TestSolveTemplateAndAttend:
         pyr = read_container(frame)
         assert pyr.depth == 1
         assert pyr.level_labels == read_container(scene_dir / "frame_0000.fpyr").level_labels
+
+
+DEMO_SCENE = Path(__file__).resolve().parent.parent / "scripts" / "demo_scene.json"
+DEMO_BOX = "8,36,24,24"  # the demo target's start box
+
+
+def _run(argv) -> tuple[int, str]:
+    """cli.main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+class TestNonFiniteFeatures:
+    """Commands check the feature values they read, where they read them.
+
+    A container holding NaN or inf in a cell a command reads makes it exit 1
+    naming the file; in a cell it never reads it changes nothing.
+    """
+
+    KINDS = ("center", "mean-pos", "mean-diff", "ridge")
+
+    @pytest.fixture(scope="class")
+    def demo(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("demo")
+        assert main(["synth", "--scene", str(DEMO_SCENE), "--out-dir", str(root / "seq")]) == 0
+        template = root / "template.json"
+        assert main(["solve-template", "--pyramid", str(root / "seq" / "frame_0000.fpyr"),
+                     "--box", DEMO_BOX, "--out", str(template)]) == 0
+        return root, template, {}
+
+    @pytest.fixture(scope="class")
+    def box_floats(self, demo):
+        """The payload indices of the floats of the cells in the box at its
+        level, which the templates' positives are drawn from."""
+        pyr = read_container(demo[0] / "seq" / "frame_0000.fpyr")
+        box = BoundingBox(*map(float, DEMO_BOX.split(",")))
+        level = pyr.level_labels.index(template_level(pyr, box))
+        fm = pyr.levels[level]
+        cy, cx = cell_centres(((fm.height, fm.width),), (pyr.strides[level],))
+        first = sum(f.data.size for f in pyr.levels[:level])
+        cells = np.flatnonzero(in_box(cy, cx, box))
+        return (first + cells[:, None] * fm.depth + np.arange(fm.depth)).ravel().tolist()
+
+    @staticmethod
+    def commands(seq: Path, frame: Path, template: Path, out: Path) -> dict:
+        """Every command that reads `frame`, and its output file."""
+        runs = {
+            f"solve-template {kind}": (
+                ["solve-template", "--pyramid", frame, "--box", DEMO_BOX, "--template-mode", kind,
+                 "--out", out / f"{kind}.json"], out / f"{kind}.json")
+            for kind in TestNonFiniteFeatures.KINDS
+        }
+        for mode in ("tracking", "detection"):
+            runs[f"attend {mode}"] = (
+                ["attend", "--pyramid", frame, "--template", template, "--mode", mode,
+                 "--out", out / f"{mode}.fpyr"], out / f"{mode}.fpyr")
+        runs["track"] = (["track", "--sequence", seq / "manifest.json",
+                          "--out", out / "tracks.jsonl"], out / "tracks.jsonl")
+        return runs
+
+    def clean_outputs(self, demo, f: int) -> dict:
+        """Each command's output bytes on the untouched frame f, computed once."""
+        root, template, cache = demo
+        if f not in cache:
+            out = root / f"clean{f}"
+            out.mkdir()
+            cache[f] = {}
+            for name, (argv, path) in self.commands(
+                    root / "seq", root / "seq" / f"frame_{f:04d}.fpyr", template, out).items():
+                assert _run(argv)[0] == 0, name
+                cache[f][name] = path.read_bytes()
+        return cache[f]
+
+    @settings(max_examples=40, deadline=None)
+    @given(frame=st.sampled_from([0, 1, 19]), planted=st.sampled_from([np.nan, np.inf, -np.inf]),
+           data=st.data())
+    def test_planted_value_fails_naming_the_file_or_changes_nothing(
+        self, demo, box_floats, tmp_path_factory, frame, planted, data
+    ):
+        root, template, _ = demo
+        clean = self.clean_outputs(demo, frame)
+        path = root / "seq" / f"frame_{frame:04d}.fpyr"
+        original = path.read_bytes()
+        payload = original.index(b"\n") + 1
+        anywhere = st.integers(0, (len(original) - payload) // 4 - 1)
+        i = data.draw(st.one_of(anywhere, st.sampled_from(box_floats)), label="float")
+        path.write_bytes(original[:payload + 4 * i] + np.array([planted], "<f4").tobytes()
+                         + original[payload + 4 * i + 4:])
+        out = tmp_path_factory.mktemp("out")
+        try:
+            for name, (argv, output) in self.commands(root / "seq", path, template, out).items():
+                rc, err = _run(argv)
+                assert "Traceback" not in err, name
+                if rc == 0:
+                    assert output.read_bytes() == clean[name], name
+                else:
+                    assert rc == 1 and str(path) in err, (name, err)
+                if name == "attend tracking":  # reads every value
+                    assert rc == 1 and "feature map contains NaN or Inf" in err
+                if name == "attend detection":  # reads the header only
+                    assert rc == 0
+        finally:
+            path.write_bytes(original)
+
+    def test_value_at_the_box_centre_refuses_the_template_naming_file_and_level(
+        self, scene_dir, capsys
+    ):
+        frame = scene_dir / "frame_0000.fpyr"
+        pyr = read_container(frame)
+        box = BoundingBox(8, 20, 24, 24)
+        level = template_level(pyr, box)
+        row, col = center_cell(box, pyr, level)
+        fm = pyr.level_map(level)
+        offset = sum(f.data.nbytes for f in pyr.levels[:pyr.level_labels.index(level)])
+        offset += 4 * (row * fm.width + col) * fm.depth
+        del pyr, fm
+        buf = bytearray(frame.read_bytes())
+        at = buf.index(b"\n") + 1 + offset
+        buf[at:at + 4] = np.array([np.nan], "<f4").tobytes()
+        frame.write_bytes(bytes(buf))
+        assert main(["solve-template", "--pyramid", str(frame), "--box", "8,20,24,24",
+                     "--template-mode", "center"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {frame}: level {level}: feature map contains NaN or Inf\n"
+
+    def test_attend_names_the_pyramid_not_the_template(self, scene_dir, tmp_path, capsys):
+        frame = scene_dir / "frame_0000.fpyr"
+        buf = bytearray(frame.read_bytes())
+        buf[-4:] = np.array([np.inf], "<f4").tobytes()  # the last cell of the coarsest level
+        frame.write_bytes(bytes(buf))
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"values": [0.0] * SCENE["depth"]}))
+        assert main(["attend", "--pyramid", str(frame), "--template", str(template),
+                     "--out", str(tmp_path / "sims.fpyr")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {frame}: level 5: feature map contains NaN or Inf")
+        assert str(template) not in err
 
 
 class TestTrackAndEval:

@@ -13,6 +13,7 @@ from fpntrack.container import (
     SequenceManifest,
     load_candidates,
     load_manifest,
+    map_container,
     pyramid_from_bytes,
     pyramid_to_bytes,
     read_container,
@@ -27,7 +28,14 @@ from fpntrack.container import (
 )
 from fpntrack.errors import ContainerError
 from fpntrack.metrics import GroundtruthFrame, GroundtruthSequence, TrackColumns
-from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask
+from fpntrack.pyramid import (
+    BoundingBox,
+    FeatureMap,
+    FeaturePyramid,
+    MappedFeatureMap,
+    Mask,
+    finite_features,
+)
 
 
 def small_pyramid(seed=0, depth=3, base=8):
@@ -259,6 +267,64 @@ class TestMappedRead:
         del held
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == baseline
+
+
+class TestMapContainer:
+    """`map_container` checks the header as `read_container` does and no value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(buf=mutated_containers())
+    def test_decodes_as_read_container_with_values_left_to_the_reader(self, tmp_path_factory, buf):
+        path = tmp_path_factory.mktemp("fuzz") / "p.fpyr"
+        path.write_bytes(buf)
+        full = _decoded(lambda: read_container(path))
+        mapped = _decoded(lambda: map_container(path))
+        non_finite = "ContainerError: container holds an invalid pyramid: feature map contains NaN or Inf"
+        if isinstance(mapped, str):  # refused: the same header fault, after the path
+            assert mapped.startswith(f"ContainerError: {path}: ")
+            assert full in (non_finite, mapped.replace(f"{path}: ", "", 1))
+            return
+        assert full in (non_finite, mapped)
+        # checking every level finds what read_container refused, naming the file
+        levels = map_container(path).levels
+        try:
+            for fm in levels:
+                finite_features(fm.data, fm)
+        except ContainerError as exc:
+            assert full == non_finite
+            assert str(exc) == f"{path}: level {fm.level}: feature map contains NaN or Inf"
+        else:
+            assert full == mapped
+
+    def test_levels_are_mapped_and_name_their_file(self, tmp_path):
+        path = tmp_path / "p.fpyr"
+        write_container(small_pyramid(), path)
+        for fm in map_container(path).levels:
+            assert isinstance(fm, MappedFeatureMap) and fm.source == str(path)
+
+    def test_non_finite_value_is_left_to_the_reader(self, tmp_path):
+        buf = pyramid_to_bytes(small_pyramid())[:-4] + np.array([np.nan], "<f4").tobytes()
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(buf)
+        pyr = map_container(path)
+        fm = pyr.levels[-1]
+        assert np.isnan(fm.data[-1, -1, -1])
+        with pytest.raises(ContainerError) as info:
+            finite_features(fm.data[-1], fm)
+        assert str(info.value) == f"{path}: level {fm.level}: feature map contains NaN or Inf"
+        finite_features(pyr.levels[0].data, pyr.levels[0])  # the other levels pass
+
+    @pytest.mark.parametrize("buf, message", [
+        (b"", "no header terminator"),
+        (b"{}\n", "container header missing 'levels'"),
+        (b'{"version":1,"levels":[]}\n', "container holds an invalid pyramid: pyramid has no levels"),
+    ])
+    def test_errors_start_with_the_path(self, tmp_path, buf, message):
+        path = tmp_path / "p.fpyr"
+        path.write_bytes(buf)
+        with pytest.raises(ContainerError) as info:
+            map_container(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 @st.composite

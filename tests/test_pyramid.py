@@ -6,17 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpntrack import pyramid
-from fpntrack.errors import InvalidInputError
+from fpntrack.errors import ContainerError, InvalidInputError
 from fpntrack.pyramid import (
     BoundingBox,
     FeatureMap,
     FeaturePyramid,
+    MappedFeatureMap,
     Mask,
     assign_level,
     center_cell,
     extract_template,
+    finite_features,
     first_bad_box_row,
 )
+
+
+def as_mapped(pyr: FeaturePyramid, source: str = "f.fpyr") -> FeaturePyramid:
+    """The pyramid with its levels as `MappedFeatureMap`s of `source`, sharing their data."""
+    return FeaturePyramid([MappedFeatureMap(fm.level, fm.data, source) for fm in pyr.levels],
+                          strides=pyr.strides)
 
 
 def make_pyramid(depth=3, base=32, fill=None):
@@ -181,6 +189,45 @@ class TestFeatureMapValidation:
         data[0, 0, 0] = np.nan
         with pytest.raises(InvalidInputError):
             FeatureMap(2, data)
+
+    def test_mapped_level_checks_its_shape_but_not_its_values(self):
+        data = np.zeros((2, 2, 2), dtype=np.float32)
+        data[0, 0, 0] = np.nan
+        assert MappedFeatureMap(2, data, "f.fpyr").data is data
+        with pytest.raises(InvalidInputError, match="3-D"):
+            MappedFeatureMap(2, np.zeros((2, 2)), "f.fpyr")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_features_names_level_and_file(self, bad):
+        data = np.ones((2, 2, 2), dtype=np.float32)
+        data[1, 0, 1] = bad
+        with pytest.raises(ContainerError) as info:
+            finite_features(data[1], MappedFeatureMap(3, data, "f.fpyr"))
+        assert str(info.value) == "f.fpyr: level 3: feature map contains NaN or Inf"
+        fm = FeatureMap(4, np.ones((2, 2, 2)))
+        fm.data[:] = data  # changed after it was built
+        with pytest.raises(InvalidInputError) as info:
+            finite_features(fm.data[1], fm)
+        assert str(info.value) == "level 4: feature map contains NaN or Inf"
+        ok = data[0]
+        assert finite_features(ok, fm) is ok
+
+    def test_finite_features_names_the_level_of_the_first_bad_row(self):
+        maps = [MappedFeatureMap(lvl, np.ones((1, 1, 2), np.float32), "f.fpyr") for lvl in (2, 3, 4)]
+        rows = np.ones((3, 2))
+        rows[1, 0] = rows[2, 1] = np.nan
+        with pytest.raises(ContainerError, match="^f.fpyr: level 3: "):
+            finite_features(rows, maps)
+
+    def test_extract_template_checks_the_cell_it_reads(self):
+        pyr = as_mapped(make_pyramid())
+        box = BoundingBox(20, 20, 8, 8)
+        row, col = center_cell(box, pyr, 2)
+        pyr.level_map(2).data[row, col + 1, 0] = np.nan  # a cell it does not read
+        extract_template(pyr, box)
+        pyr.level_map(2).data[row, col, 2] = np.inf
+        with pytest.raises(ContainerError, match="^f.fpyr: level 2: "):
+            extract_template(pyr, box)
 
     def test_pyramid_rejects_depth_mismatch(self):
         with pytest.raises(InvalidInputError):

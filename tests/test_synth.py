@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpntrack import synth
-from fpntrack.errors import InvalidInputError
-from fpntrack.pyramid import BoundingBox, FeatureMap, FeaturePyramid, Mask, extract_template
+from fpntrack.errors import ContainerError, InvalidInputError
+from fpntrack.pyramid import (
+    BoundingBox,
+    FeatureMap,
+    FeaturePyramid,
+    Mask,
+    center_cell,
+    extract_template,
+    template_level,
+)
 from fpntrack.scenarios import correlated_identities, distractor_scene, linear_trajectory
 from fpntrack.synth import (
     SceneObject,
@@ -20,7 +28,7 @@ from fpntrack.synth import (
     score_candidates,
     synth_candidates,
 )
-from tests.test_pyramid import make_pyramid
+from tests.test_pyramid import as_mapped, make_pyramid
 
 
 def unit(depth, axis=0):
@@ -267,6 +275,23 @@ class TestScoreCandidates:
         expected = [cosine_confidence(extract_template(pyr, b), template) for b in boxes]
         assert cands.box.tolist() == [b.as_list() for b in boxes]
         assert cands.confidence.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_features_are_checked_once_naming_the_first_bad_row(self):
+        rng = philox(5)
+        pyr = as_mapped(make_pyramid(depth=2))
+        for fm in pyr.levels:
+            fm.data[:] = rng.normal(size=fm.data.shape)
+        # centre cells at levels 2, 3 and 4
+        boxes = [BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 120, 120), BoundingBox(0, 0, 300, 300)]
+        assert [template_level(pyr, b) for b in boxes] == [2, 3, 4]
+        features, _ = candidate_features(pyr, boxes)
+        for fm in pyr.levels:  # every cell but the boxes' centres
+            fm.data[~np.isin(fm.data, features.astype(np.float32)).all(axis=2)] = np.nan
+        assert candidate_features(pyr, boxes)[0].tobytes() == features.tobytes()
+        for b, level in zip(boxes[1:], (3, 4)):
+            pyr.level_map(level).data[center_cell(b, pyr, level)] = np.inf
+        with pytest.raises(ContainerError, match="^f.fpyr: level 3: "):
+            candidate_features(pyr, boxes)
 
     def test_features_of_no_boxes(self):
         features, norms = candidate_features(make_pyramid(depth=5), [])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpntrack.errors import InvalidInputError, SolverError
+from fpntrack.errors import ContainerError, InvalidInputError, SolverError
 from fpntrack.pyramid import (
     BoundingBox,
     FeatureMap,
@@ -13,6 +13,7 @@ from fpntrack.pyramid import (
     assign_level,
     center_cell,
     extract_template,
+    template_level,
 )
 from fpntrack.scenarios import distractor_scene
 from fpntrack.synth import philox, render_frame
@@ -29,7 +30,7 @@ from fpntrack.templates import (
     template_mean_diff,
     template_mean_pos,
 )
-from tests.test_pyramid import make_pyramid
+from tests.test_pyramid import as_mapped, make_pyramid
 
 
 def random_problem(rng, dim, negatives, lam):
@@ -424,6 +425,23 @@ class TestSampling:
         feats, shortfall = sample_negatives(pyr, box, q=10_000, seed=1)
         assert len(feats) == total_outside
         assert shortfall == 10_000 - total_outside
+
+    @pytest.mark.parametrize("sampler", [sample_negatives, sample_positives])
+    def test_samples_are_checked_where_they_are_read(self, sampler):
+        rng = philox(4)
+        pyr = as_mapped(make_pyramid())
+        for fm in pyr.levels:
+            fm.data[:] = rng.normal(size=fm.data.shape)
+        box = BoundingBox(20, 20, 40, 40)
+        feats = np.array(sampler(pyr, box, 8, 3)[0], dtype=np.float32)
+        sampled = [np.isin(fm.data, feats).all(axis=2) for fm in pyr.levels]
+        for fm, cells in zip(pyr.levels, sampled):
+            fm.data[~cells] = np.nan  # every cell not sampled
+        assert np.array_equal(sampler(pyr, box, 8, 3)[0], feats)
+        fm, cells = next((fm, cells) for fm, cells in zip(pyr.levels, sampled) if cells.any())
+        fm.data[tuple(np.argwhere(cells)[0])] = np.inf
+        with pytest.raises(ContainerError, match=f"^f.fpyr: level {fm.level}: "):
+            sampler(pyr, box, 8, 3)
 
     def test_negatives_deterministic(self):
         spec = distractor_scene(0)
