@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -183,9 +183,39 @@ def scene_from_json(doc: dict) -> SceneSpec:
     )
 
 
+def _synth_workers(num_frames: int) -> int:
+    """Threads for `synth`: the CPUs this process may run on, at most one per frame."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, num_frames)
+
+
+def _render_to_file(spec: SceneSpec, out: Path, f: int):
+    """Render frame f and write its container; its path, boxes and masks."""
+    pyramid, boxes, masks = synth.render_frame(spec, f)
+    pyr_path = out / f"frame_{f:04d}.fpyr"
+    container.write_container(pyramid, pyr_path)
+    return pyr_path, boxes, masks
+
+
 def cmd_synth(args) -> int:
-    doc = json.loads(Path(args.scene).read_text())
-    spec = scene_from_json(doc)
+    """Render a scene to one container and one candidates file per frame, plus
+    the manifest and the groundtruth.
+
+    Frames are rendered and written on a pool of threads, one per CPU this
+    process may run on (`os.sched_getaffinity`, else `os.cpu_count()`), at
+    most one per frame; NumPy releases the GIL in the noise draws, the
+    float32 cast and the writes. Each frame draws from its own Philox stream,
+    so every file is byte-identical whatever the thread count, and peak
+    memory is one frame's pyramid per thread. Candidates, groundtruth and the
+    manifest are made on the calling thread, in frame order.
+    """
+    # imported here, as only synth uses it: `import fpntrack.cli` stays lean
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec = scene_from_json(container.read_json(args.scene, "scene"))
     # trajectories are pure, so a scene without an init box is refused before
     # anything is rendered or written
     ti = spec.target_index
@@ -197,21 +227,19 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     frames = []
     gt_frames = []
-    for f in range(spec.num_frames):
-        pyramid, boxes, masks = synth.render_frame(spec, f)
-        pyr_path = out / f"frame_{f:04d}.fpyr"
-        container.write_container(pyramid, pyr_path)
-        del pyramid  # free this frame's cells before the next frame is rendered
-        cand_path = out / f"candidates_{f:04d}.json"
-        cand_boxes = synth.jittered_boxes(
-            boxes, args.jitter, args.candidates_per_object, spec.seed * 100003 + f
-        )
-        container.save_candidates(cand_boxes, cand_path)
-        gt = metrics.GroundtruthFrame(
-            frame=f, present=boxes[ti] is not None, box=boxes[ti], mask=masks[ti]
-        )
-        gt_frames.append(gt)
-        frames.append(container.ManifestFrame(f, pyr_path, cand_path))
+    render = functools.partial(_render_to_file, spec, out)
+    with ThreadPoolExecutor(_synth_workers(spec.num_frames)) as pool:
+        for f, (pyr_path, boxes, masks) in enumerate(pool.map(render, range(spec.num_frames))):
+            cand_path = out / f"candidates_{f:04d}.json"
+            cand_boxes = synth.jittered_boxes(
+                boxes, args.jitter, args.candidates_per_object, spec.seed * 100003 + f
+            )
+            container.save_candidates(cand_boxes, cand_path)
+            gt = metrics.GroundtruthFrame(
+                frame=f, present=boxes[ti] is not None, box=boxes[ti], mask=masks[ti]
+            )
+            gt_frames.append(gt)
+            frames.append(container.ManifestFrame(f, pyr_path, cand_path))
     container.save_manifest(container.SequenceManifest(init_box, frames), out / "manifest.json")
     container.write_groundtruth(metrics.GroundtruthSequence(gt_frames), out / "gt.jsonl")
     print(out / "manifest.json")
@@ -497,7 +525,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (FpnTrackError, OSError, json.JSONDecodeError) as exc:
+    except (FpnTrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -283,10 +283,7 @@ def save_manifest(manifest: SequenceManifest, path) -> None:
 def load_manifest(path) -> SequenceManifest:
     path = Path(path)
     base = path.parent
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ContainerError(f"malformed manifest: {exc}") from exc
+    doc = read_json(path, "manifest")
     try:
         init_box = _box_from_list(doc["init_box"])
         raw_frames = doc["frames"]
@@ -319,10 +316,7 @@ def save_candidates(boxes, path, confidences=None) -> None:
 
 
 def load_candidates(path) -> list[tuple[BoundingBox, Optional[float]]]:
-    try:
-        records = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ContainerError(f"malformed candidates file: {exc}") from exc
+    records = read_json(path, "candidates")
     out = []
     for i, rec in _json_list_records(path, records, "candidate"):
         try:
@@ -339,10 +333,7 @@ def load_candidates(path) -> list[tuple[BoundingBox, Optional[float]]]:
 
 def load_template(path) -> np.ndarray:
     """The `values` vector of a template JSON file written by solve-template."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ContainerError(f"{path}: malformed template file: {exc}") from exc
+    doc = read_json(path, "template")
     if not isinstance(doc, dict):
         raise ContainerError(f"{path}: template file is not a JSON object: {doc!r}")
     try:
@@ -363,6 +354,26 @@ def write_tracks(track: TrackColumns, path) -> None:
             if mask is not None:
                 rec["mask"] = _mask_to_json(mask)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _utf8_text(path) -> str:
+    """A file's text; a ContainerError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContainerError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The one JSON document in a UTF-8 file, parsed.
+
+    A file that is not UTF-8 text, or not one JSON document, is a
+    ContainerError starting with the path: `<path>: malformed <what> file: ...`.
+    """
+    try:
+        return json.loads(_utf8_text(path))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ContainerError(f"{path}: malformed {what} file: {exc}") from exc
 
 
 def _reason(exc: Exception) -> str:
@@ -397,10 +408,7 @@ def _jsonl_objects(path, what: str):
     i-th pair is the one on line i. Otherwise the lines are parsed one at a
     time, which also finds the first bad line.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ContainerError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = _utf8_text(path).splitlines()
     body = list(filter(str.strip, lines))
     joined = ",\n".join(body)
     # as many braces of each kind as lines, and each line holds both

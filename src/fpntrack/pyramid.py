@@ -27,6 +27,10 @@ MAX_LEVEL = 5
 # fewer rows the fixed cost of a dozen numpy calls outweighs the per-row loop
 FEW_BOXES = 32
 
+# values per block of rows that `FeatureMap` checks finite at a time, so its
+# boolean mask stays at 1 MB however large the level
+FINITE_CHECK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -183,8 +187,11 @@ class FeatureMap:
 
     def __post_init__(self):
         self._check_shape()
-        if not np.isfinite(self.data).all():
-            raise InvalidInputError("feature map contains NaN or Inf")
+        h, w, d = self.data.shape
+        rows = max(1, FINITE_CHECK_ELEMENTS // (w * d))
+        for a in range(0, h, rows):
+            if not np.isfinite(self.data[a : a + rows]).all():
+                raise InvalidInputError("feature map contains NaN or Inf")
 
     def _check_shape(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float32)

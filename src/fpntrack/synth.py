@@ -39,9 +39,10 @@ from .tracker import Candidates
 
 Trajectory = Callable[[int], Optional[BoundingBox]]
 
-# float64 elements per block of cells in `render_frame`'s noise draw: 1 MB,
-# 512 cells of depth 256; a cell deeper than this is a block of its own
-BLOCK_ELEMENTS = 1 << 17
+# float64 elements per block of cells in `render_frame`'s noise draw: 256 KB,
+# 128 cells of depth 256; a cell deeper than this is a block of its own. Each
+# thread of `fpntrack synth` holds a few such blocks beside its frame's cells.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass

@@ -1,14 +1,17 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpntrack import cli
+from fpntrack import cli, container, synth
 from fpntrack.cli import main
 from fpntrack.container import read_container, read_tracks
 from fpntrack.errors import InvalidInputError
@@ -195,6 +198,108 @@ class TestSynth:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+
+# a target absent on frames 2-4 and noise, so each frame draws its own Philox stream
+POOL_SCENE = dict(
+    SCENE, num_frames=7, noise_sigma=0.05,
+    objects=[dict(SCENE["objects"][0], absent_frames=[2, 3, 4]), SCENE["objects"][1]],
+)
+
+
+class TestSynthPool:
+    """`synth` renders and writes frames on one thread per CPU, at most one per frame."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def synth(tmp_path, name, scene=POOL_SCENE):
+        scene_path = tmp_path / f"{name}.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / name
+        return _run(["synth", "--scene", scene_path, "--out-dir", out]), out
+
+    def test_files_identical_on_one_and_three_cpus(self, tmp_path, monkeypatch):
+        render = synth.render_frame
+
+        def early_frames_slow(spec, f):
+            # later frames finish first, so results read back in completion order misfile
+            time.sleep(0.01 * (spec.num_frames - f))
+            return render(spec, f)
+
+        monkeypatch.setattr(synth, "render_frame", early_frames_slow)
+        written = {}
+        for n in (1, 3):
+            self.cpus(monkeypatch, n)
+            (rc, err), out = self.synth(tmp_path, f"cpus{n}")
+            assert (rc, err) == (0, "")
+            written[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert written[1] == written[3]
+        assert len(written[1]) == 2 * POOL_SCENE["num_frames"] + 2
+        gt = [json.loads(line) for line in written[1]["gt.jsonl"].splitlines()]
+        assert [g["present"] for g in gt] == [True, True, False, False, False, True, True]
+
+    def test_failed_write_names_its_frame_and_writes_no_manifest(self, tmp_path, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        write, payload = container.write_container, container._payload
+
+        def slow_payload(fm):
+            time.sleep(0.01)  # keeps the other frames' partial files open a while
+            return payload(fm)
+
+        def full_on_frame_2(pyramid, path):
+            if path.name == "frame_0002.fpyr":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            write(pyramid, path)
+
+        monkeypatch.setattr(container, "_payload", slow_payload)
+        monkeypatch.setattr(container, "write_container", full_on_frame_2)
+        (rc, err), out = self.synth(tmp_path, "seq")
+        assert rc == 1
+        assert err.startswith("error: ") and str(out / "frame_0002.fpyr") in err
+        assert "Traceback" not in err
+        names = os.listdir(out)
+        assert "manifest.json" not in names and "gt.jsonl" not in names
+        assert not [n for n in names if n.endswith(".partial")]
+
+    @pytest.mark.parametrize("cpus, affinity", [(3, True), (2, False)])
+    def test_concurrent_renders_reach_but_never_exceed_the_cpus(
+        self, tmp_path, monkeypatch, cpus, affinity
+    ):
+        if affinity:
+            self.cpus(monkeypatch, cpus)
+        else:  # a platform without sched_getaffinity
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        render = synth.render_frame
+        changed = threading.Condition()
+        running, peak = 0, 0
+
+        def counted(spec, f):
+            nonlocal running, peak
+            with changed:
+                running += 1
+                peak = max(peak, running)
+                changed.notify_all()
+                # the first frames wait for each other, so a pool of the right size fills
+                changed.wait_for(lambda: f >= cpus or peak >= cpus, timeout=5)
+            try:
+                time.sleep(0.02)  # so that more threads than CPUs would overlap
+                return render(spec, f)
+            finally:
+                with changed:
+                    running -= 1
+
+        monkeypatch.setattr(synth, "render_frame", counted)
+        (rc, _), _ = self.synth(tmp_path, "seq")
+        assert rc == 0
+        assert peak == cpus
+
+    @pytest.mark.parametrize("cpus, frames, workers", [(3, 1, 1), (3, 7, 3), (1, 7, 1)])
+    def test_one_worker_per_cpu_at_most_one_per_frame(self, monkeypatch, cpus, frames, workers):
+        self.cpus(monkeypatch, cpus)
+        assert cli._synth_workers(frames) == workers
 
 class TestSolveTemplateAndAttend:
     def test_center_template_output(self, scene_dir, tmp_path):
@@ -888,6 +993,58 @@ class TestMalformedTemplate:
         assert rc == 1
         assert "template.json: similarity scores overflow float32" in err
         assert "feature map" not in err
+
+
+class TestJsonInputFiles:
+    """A JSON input that is not UTF-8, or cut short, exits 1 naming the file."""
+
+    READERS = ("scene", "manifest", "candidates", "template")
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(dict(SCENE, num_frames=3)))
+        seq = tmp_path / "seq"
+        assert main(["synth", "--scene", str(scene_path), "--out-dir", str(seq)]) == 0
+        template = tmp_path / "template.json"
+        assert main(["solve-template", "--pyramid", str(seq / "frame_0000.fpyr"),
+                     "--box", "8,20,24,24", "--out", str(template)]) == 0
+        track = ["track", "--sequence", seq / "manifest.json", "--out", tmp_path / "t.jsonl"]
+        return {
+            "scene": (["synth", "--scene", scene_path, "--out-dir", tmp_path / "again"],
+                      scene_path),
+            "manifest": (track, seq / "manifest.json"),
+            "candidates": (track, seq / "candidates_0001.json"),
+            "template": (["attend", "--pyramid", seq / "frame_0000.fpyr", "--template", template,
+                          "--out", tmp_path / "sims.fpyr"], template),
+        }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_file_that_is_not_utf8_names_it(self, inputs, reader):
+        argv, path = inputs[reader]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        rc, err = _run(argv)
+        assert rc == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode "
+                              "byte 0xff in position 0")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_file_cut_short_names_it(self, inputs, reader):
+        argv, path = inputs[reader]
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        rc, err = _run(argv)
+        assert rc == 1
+        assert err.startswith(f"error: {path}: malformed {reader} file: ")
+        assert "Traceback" not in err
+
+    def test_scene_cut_after_its_brace_names_it(self, tmp_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text("{")
+        rc, err = _run(["synth", "--scene", scene_path, "--out-dir", tmp_path / "seq"])
+        assert (rc, err) == (1, f"error: {scene_path}: malformed scene file: Expecting property "
+                                "name enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
 class TestGradcheck:

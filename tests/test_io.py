@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from fpntrack.container import (
     load_candidates,
     load_manifest,
     map_container,
+    read_json,
     pyramid_from_bytes,
     pyramid_to_bytes,
     read_container,
@@ -450,6 +452,24 @@ class TestManifest:
                 BoundingBox(0, 0, 1, 1),
                 [ManifestFrame(1, pyr_path), ManifestFrame(1, pyr_path)],
             )
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        pytest.param("1" * 5000, "Exceeds the limit", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")),
+        ("\ufeff{}", "Unexpected UTF-8 BOM"),
+        ("{} {}", "Extra data"),
+    ])
+    def test_what_json_refuses_is_a_container_error_naming_the_file(self, tmp_path, text,
+                                                                    reason):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ContainerError) as err:
+            read_json(path, "scene")
+        assert str(err.value).startswith(f"{path}: malformed scene file: ")
+        assert reason in str(err.value)
 
 
 class TestTrackJsonl:

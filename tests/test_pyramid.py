@@ -190,6 +190,19 @@ class TestFeatureMapValidation:
         with pytest.raises(InvalidInputError):
             FeatureMap(2, data)
 
+    @pytest.mark.parametrize("budget", [1, 5, 6, 7, 1 << 20])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_refused_in_any_block_of_rows(self, budget, bad):
+        # rows of 6 values: blocks of one row, of one row again, of two rows
+        # that do not cut the level evenly, and of the whole level
+        with mock.patch.object(pyramid, "FINITE_CHECK_ELEMENTS", budget):
+            for row, col, k in [(0, 0, 0), (2, 1, 2), (4, 1, 1)]:
+                data = np.zeros((5, 2, 3), dtype=np.float32)
+                data[row, col, k] = bad
+                with pytest.raises(InvalidInputError, match="NaN or Inf"):
+                    FeatureMap(2, data)
+                FeatureMap(2, np.zeros((5, 2, 3), dtype=np.float32))
+
     def test_mapped_level_checks_its_shape_but_not_its_values(self):
         data = np.zeros((2, 2, 2), dtype=np.float32)
         data[0, 0, 0] = np.nan
