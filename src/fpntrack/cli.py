@@ -19,7 +19,8 @@ import numpy as np
 
 from . import container, metrics, synth, templates
 from .attention import similarity_pyramid
-from .errors import ContainerError, FpnTrackError, InvalidInputError, UsageError
+from .errors import (ContainerError, FpnTrackError, InvalidInputError, UndefinedMetricError,
+                     UsageError)
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid
 from .synth import SceneObject, SceneSpec, philox
 from .scenarios import correlated_identities, linear_trajectory
@@ -97,68 +98,14 @@ def _nonnegative_float(text: str) -> float:
     return _float_where(text, lambda v: 0.0 <= v < math.inf, "a non-negative finite number")
 
 
-def _finite_numbers(value, count: int, key: str) -> list[float]:
-    """A list of `count` finite numbers as floats; ValueError naming `key` otherwise."""
-    if not (isinstance(value, list) and len(value) == count
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in value)):
-        raise ValueError(f"{key} must be {count} finite numbers, got {value!r}")
-    return [float(v) for v in value]
-
-
-def _scene_object_fields(obj) -> tuple[BoundingBox, float, float, list[int]]:
-    """One scene object's start box, velocity and absent frames; ValueError if bad."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"not a JSON object: {obj!r}")
-    if "start" not in obj:
-        raise ValueError("missing field 'start'")
-    try:
-        start = BoundingBox(*_finite_numbers(obj["start"], 4, "start"))
-    except InvalidInputError as exc:
-        raise ValueError(f"start {obj['start']!r}: {exc}") from exc
-    vx, vy = _finite_numbers(obj.get("velocity", [0, 0]), 2, "velocity")
-    absent = obj.get("absent_frames", [])
-    if not (isinstance(absent, list)
-            and all(isinstance(f, int) and not isinstance(f, bool) for f in absent)):
-        raise ValueError(f"absent_frames must be a list of ints, got {absent!r}")
-    return start, vx, vy, absent
-
-
 def scene_from_json(doc: dict) -> SceneSpec:
-    """Build a SceneSpec from its JSON description.
-
-    Schema:
-      {"image_size": [H, W], "num_frames": N, "depth": D, "seed": S,
-       "noise_sigma": s, "distractor_overlap": o,
-       "objects": [{"start": [x, y, w, h], "velocity": [vx, vy],
-                    "is_target": bool, "absent_frames": [f, ...]}, ...]}
-
-    D is at least 1. Each object needs `start`, 4 finite numbers with w, h > 0;
-    `velocity` is 2 finite numbers and `absent_frames` a list of ints. A bad
-    object is a UsageError naming its index.
-    """
-    try:
-        height, width = doc["image_size"]
-        num_frames = int(doc["num_frames"])
-        obj_docs = doc["objects"]
-        depth = int(doc.get("depth", 16))
-        seed = int(doc.get("seed", 0))
-        overlap = float(doc.get("distractor_overlap", 0.0))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad scene description: {exc}") from exc
-    if depth < 1:
-        raise UsageError(f"bad scene description: depth must be at least 1, got {depth}")
-    if not isinstance(obj_docs, list):
-        raise UsageError(f"bad scene description: objects must be a list, got {obj_docs!r}")
+    """Build a SceneSpec from its JSON description, whose keys README's "JSON
+    inputs" lists; `container.scene_fields` reads and checks them."""
+    (height, width), num_frames, depth, seed, sigma, overlap, objects = container.scene_fields(doc)
     target_id, distractor_id = correlated_identities(depth, overlap, seed)
     rng = philox(seed, stream=2)
-    objects = []
-    for i, obj in enumerate(obj_docs):
-        try:
-            start, vx, vy, absent = _scene_object_fields(obj)
-        except ValueError as exc:
-            raise UsageError(f"bad scene object {i}: {exc}") from exc
-        is_target = bool(obj.get("is_target", False))
+    scene_objects = []
+    for start, (vx, vy), is_target, absent in zip(*(column.tolist() for column in objects)):
         if is_target:
             identity = target_id
         elif overlap > 0:
@@ -166,21 +113,9 @@ def scene_from_json(doc: dict) -> SceneSpec:
         else:
             identity = rng.normal(size=depth)
             identity /= np.linalg.norm(identity)
-        objects.append(
-            SceneObject(
-                identity=identity,
-                trajectory=linear_trajectory(start, vx, vy, absent=absent),
-                is_target=is_target,
-            )
-        )
-    return SceneSpec(
-        image_height=int(height),
-        image_width=int(width),
-        num_frames=num_frames,
-        objects=objects,
-        noise_sigma=float(doc.get("noise_sigma", 0.0)),
-        seed=seed,
-    )
+        trajectory = linear_trajectory(BoundingBox(*start), vx, vy, absent=absent)
+        scene_objects.append(SceneObject(identity, trajectory, is_target=is_target))
+    return SceneSpec(height, width, num_frames, scene_objects, noise_sigma=sigma, seed=seed)
 
 
 def _synth_workers(num_frames: int) -> int:
@@ -215,14 +150,18 @@ def cmd_synth(args) -> int:
     # imported here, as only synth uses it: `import fpntrack.cli` stays lean
     from concurrent.futures import ThreadPoolExecutor
 
-    spec = scene_from_json(container.read_json(args.scene, "scene"))
+    doc = container.read_json(args.scene, "scene")
+    try:
+        spec = scene_from_json(doc)
+        ti = spec.target_index
+    except (ContainerError, InvalidInputError) as exc:
+        raise ContainerError(f"{args.scene}: {exc}") from exc
     # trajectories are pure, so a scene without an init box is refused before
     # anything is rendered or written
-    ti = spec.target_index
     target_boxes = map(spec.objects[ti].trajectory, range(spec.num_frames))
     init_box = next((box for box in target_boxes if box is not None), None)
     if init_box is None:
-        raise UsageError("target is never visible; cannot set an init box")
+        raise UsageError(f"{args.scene}: target is never visible; cannot set an init box")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     frames = []
@@ -321,24 +260,26 @@ def cmd_attend(args) -> int:
 
 
 def _frame_candidates(mf, pyramid, template) -> Candidates:
-    """One manifest frame's candidates, unscored ones scored against the template.
+    """One manifest frame's candidates, those without a confidence scored
+    against the template.
 
     Reads the frame's container unless its pyramid is passed in.
     """
     if pyramid is None:
         pyramid = container.map_container(mf.pyramid)
-    records = [] if mf.candidates is None else container.load_candidates(mf.candidates)
-    unscored = [box for box, conf in records if conf is None]
-    scored = iter(synth.score_candidates(
-        unscored, *synth.candidate_features(pyramid, unscored), template).confidence.tolist())
-    return Candidates.from_boxes([box for box, _ in records],
-                                 [next(scored) if c is None else c for _, c in records])
+    box, confidence = (container.load_candidates(mf.candidates) if mf.candidates is not None
+                       else (np.empty((0, 4)), np.empty(0)))
+    unscored = np.isnan(confidence)
+    boxes = [BoundingBox(*row) for row in box[unscored].tolist()]
+    confidence[unscored] = synth.score_candidates(
+        *synth.candidate_features(pyramid, boxes), template).confidence
+    return Candidates(box, confidence)
 
 
 def cmd_track(args) -> int:
     manifest = container.load_manifest(args.sequence)
     if not manifest.frames:
-        raise UsageError("manifest has no frames")
+        raise UsageError(f"{args.sequence}: manifest has no frames")
     init_pyramid = container.map_container(manifest.frames[0].pyramid)
     init_box = _parse_box(args.init) if args.init else manifest.init_box
     src = f"--init {args.init}" if args.init else f"{args.sequence}: init_box {init_box.as_list()}"
@@ -374,11 +315,14 @@ def cmd_eval(args) -> int:
     gt = container.read_groundtruth(args.gt)
 
     def joined(metric, *options):
-        """metric(track, gt, *options), naming both files if the track lacks a gt frame."""
+        """metric(track, gt, *options), naming both files if the track lacks a gt
+        frame, and the gt if the metric is undefined on it."""
         try:
             return metric(track, gt, *options)
         except InvalidInputError as exc:
             raise ContainerError(f"{args.pred}: {exc} of {args.gt}") from exc
+        except UndefinedMetricError as exc:
+            raise ContainerError(f"{args.gt}: {exc}") from exc
 
     if args.protocol == "got":
         ao, sr = joined(metrics.average_overlap, args.sr_threshold)

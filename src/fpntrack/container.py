@@ -40,7 +40,7 @@ import mmap
 import operator
 import os
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -121,20 +121,11 @@ def _decode(header_line: bytes, payload: np.ndarray, level_type) -> FeaturePyram
         raise ContainerError(f"malformed container header: {exc}") from exc
     if not isinstance(header, dict) or "levels" not in header:
         raise ContainerError("container header missing 'levels'")
-    records = header["levels"]
-    if not isinstance(records, list):
-        raise ContainerError(f"container header 'levels' must be a list, got {records!r}")
+    records, image = _record("", header, "container header", _HEADER)
     parsed = []
-    for rec in records:
-        try:
-            h, w, d = int(rec["height"]), int(rec["width"]), int(rec["depth"])
-            off, length = int(rec["byte_offset"]), int(rec["byte_length"])
-            level = int(rec["level"])
-            stride = int(rec["stride"]) if "stride" in rec else 2**level
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ContainerError(f"bad level record {rec!r}: {exc}") from exc
-        if rec.get("dtype", "f32") != "f32":
-            raise ContainerError(f"unsupported dtype {rec.get('dtype')!r}")
+    for level, h, w, d, off, length, stride, _ in zip(
+            *(column.tolist() for column in _records("", records, "level record", _LEVEL))):
+        stride = 2**level if stride is None else stride
         if min(h, w, d) < 1:
             raise ContainerError(f"level {level}: shape {h}x{w}x{d} must be positive")
         if length != h * w * d * 4:
@@ -155,14 +146,7 @@ def _decode(header_line: bytes, payload: np.ndarray, level_type) -> FeaturePyram
                 f"[{s0}, {e0}) and [{s1}, {e1})"
             )
     strides = [stride for *_, stride in parsed]
-    image = header.get("image_size")
-    if image is None:
-        image = [None, None]
-    elif not (isinstance(image, list) and len(image) == 2
-              and all(type(v) is int and v >= 1 for v in image)):
-        raise ContainerError(f"container header 'image_size' must be [height, width] "
-                             f"of positive integers, got {image!r}")
-    ih, iw = image
+    ih, iw = image or (None, None)
     try:
         maps = [
             level_type(level, np.frombuffer(payload, "<f4", h * w * d, off).reshape(h, w, d))
@@ -228,26 +212,18 @@ def map_container(path) -> FeaturePyramid:
         raise ContainerError(f"{path}: {exc}") from exc
 
 
-def _box_values(vals) -> list[float]:
-    if not isinstance(vals, (list, tuple)) or len(vals) != 4:
-        raise ContainerError(f"box must be [x, y, w, h], got {vals!r}")
-    return [float(v) for v in vals]
-
-
-def _box_from_list(vals) -> BoundingBox:
-    return BoundingBox(*_box_values(vals))
-
-
 def _mask_to_json(mask: Mask) -> dict:
     return {"size": [mask.height, mask.width], "runs": list(mask.runs)}
 
 
-def _mask_from_json(obj) -> Mask:
+def _mask_from_json(obj) -> Optional[Mask]:
+    if not obj:  # no mask
+        return None
     try:
         h, w = obj["size"]
         return Mask(int(h), int(w), tuple(int(r) for r in obj["runs"]))
     except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
-        raise ContainerError(f"bad mask record: {exc}") from exc
+        raise ValueError(f"bad mask record: {exc}") from exc
 
 
 @dataclass
@@ -281,28 +257,18 @@ def save_manifest(manifest: SequenceManifest, path) -> None:
 
 
 def load_manifest(path) -> SequenceManifest:
+    """A sequence manifest whose files exist; each ContainerError starts with the path."""
     path = Path(path)
-    base = path.parent
-    doc = read_json(path, "manifest")
-    try:
-        init_box = _box_from_list(doc["init_box"])
-        raw_frames = doc["frames"]
-    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
-        raise ContainerError(f"{path}: bad manifest: {_reason(exc)}") from exc
+    init_box, records = _record(f"{path}: ", read_json(path, "manifest"), "manifest", _MANIFEST)
     frames = []
-    for i, rec in _json_list_records(path, raw_frames, "manifest frame"):
-        try:
-            frame = int(rec["frame"])
-            pyr = base / rec["pyramid"]
-            cand = base / rec["candidates"] if rec.get("candidates") else None
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ContainerError(f"{path}: bad manifest frame {i}: {_reason(exc)}") from exc
-        if not pyr.is_file():
-            raise ContainerError(f"manifest references missing pyramid {pyr}")
-        if cand is not None and not cand.is_file():
-            raise ContainerError(f"manifest references missing candidates {cand}")
+    for frame, pyr, cand in zip(*(column.tolist() for column in _records(
+            f"{path}: ", records, "manifest frame", _MANIFEST_FRAME))):
+        pyr, cand = path.parent / pyr, path.parent / cand if cand else None
+        for kind, file in (("pyramid", pyr), ("candidates", cand)):
+            if file is not None and not file.is_file():
+                raise ContainerError(f"{path}: manifest references missing {kind} {file}")
         frames.append(ManifestFrame(frame, pyr, cand))
-    return SequenceManifest(init_box, frames)
+    return SequenceManifest(BoundingBox(*init_box), frames)
 
 
 def save_candidates(boxes, path, confidences=None) -> None:
@@ -315,34 +281,22 @@ def save_candidates(boxes, path, confidences=None) -> None:
     Path(path).write_text(json.dumps(records, indent=2) + "\n")
 
 
-def load_candidates(path) -> list[tuple[BoundingBox, Optional[float]]]:
-    records = read_json(path, "candidates")
-    out = []
-    for i, rec in _json_list_records(path, records, "candidate"):
-        try:
-            conf = rec.get("confidence")
-            if conf is not None:
-                conf = float(conf)
-                if not 0.0 <= conf <= 1.0:
-                    raise ContainerError(f"confidence {conf} outside [0, 1]")
-            out.append((_box_from_list(rec["box"]), conf))
-        except (KeyError, TypeError, ValueError, ContainerError, InvalidInputError) as exc:
-            raise ContainerError(f"{path}: bad candidate {i}: {_reason(exc)}") from exc
-    return out
+def load_candidates(path) -> tuple[np.ndarray, np.ndarray]:
+    """A candidates file's `_CANDIDATE` columns, box (K, 4) and confidence (K,),
+    NaN where a candidate has none; each ContainerError starts with the path."""
+    return tuple(_records(f"{path}: ", read_json(path, "candidates"), "candidate", _CANDIDATE))
 
 
 def load_template(path) -> np.ndarray:
     """The `values` vector of a template JSON file written by solve-template."""
-    doc = read_json(path, "template")
-    if not isinstance(doc, dict):
-        raise ContainerError(f"{path}: template file is not a JSON object: {doc!r}")
-    try:
-        values = np.asarray(doc["values"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContainerError(f"{path}: bad template: {_reason(exc)}") from exc
-    if values.ndim != 1 or not np.isfinite(values).all():
-        raise ContainerError(f"{path}: bad template: values must be a list of finite numbers")
-    return values
+    (values,) = _record(f"{path}: ", read_json(path, "template"), "template", _TEMPLATE)
+    return np.array(values, dtype=np.float64)
+
+
+def scene_fields(doc) -> list:
+    """A scene description's `_SCENE` values, `objects` as `_SCENE_OBJECT` columns."""
+    *values, objects = _record("", doc, "scene description", _SCENE)
+    return [*values, _records("", objects, "scene object", _SCENE_OBJECT)]
 
 
 def write_tracks(track: TrackColumns, path) -> None:
@@ -374,24 +328,6 @@ def read_json(path, what: str):
         return json.loads(_utf8_text(path))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ContainerError(f"{path}: malformed {what} file: {exc}") from exc
-
-
-def _reason(exc: Exception) -> str:
-    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
-def _json_list_records(path, records, what: str):
-    """Yield (index, record) for a JSON list whose entries must be JSON objects."""
-    if not isinstance(records, list):
-        raise ContainerError(f"{path}: {what} records must be a JSON list, got {records!r}")
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ContainerError(f"{path}: {what} {i} is not a JSON object: {rec!r}")
-        yield i, rec
-
-
-_MISSING = object()
-_NO_BOX = [0.0, 0.0, 1.0, 1.0]
 
 
 def _jsonl_objects(path, what: str):
@@ -461,18 +397,69 @@ class _FirstBad:
             self.report(row, message(row))
 
 
-def _field(records: list[dict], key: str, what: str, bad: _FirstBad) -> list:
-    """Every record's `key`; _MISSING, reported, where a record lacks it."""
-    try:
-        return [rec[key] for rec in records]
-    except KeyError:
-        values = [rec.get(key, _MISSING) for rec in records]
-        bad.report(values.index(_MISSING), f"{what} missing field {key!r}")
-        return values
+_MISSING = object()
+_NO_BOX = [0.0, 0.0, 1.0, 1.0]
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # an int above it has no float
 
 
-def _column(values: list, convert, dtype, kinds: str, shape: tuple, bad: _FirstBad,
-            what: str) -> np.ndarray:
+def _columns(records: list[dict], spec, bad: _FirstBad) -> list:
+    """The spec's columns over the records (a JSONL file's lines, a JSON list's
+    items or one JSON object); the first bad row of each goes to `bad`.
+
+    A field is (key, default, kind, check): each record's value of the key,
+    or `default` where it lacks the key (`_MISSING`: the record is bad), is
+    read into one column by kind(values, key, bad); `check` is None or
+    `_check`'s (accept, wording).
+    """
+    columns = []
+    for key, default, kind, check in spec:
+        try:
+            values = [rec[key] for rec in records]
+        except KeyError:
+            values = [rec.get(key, default) for rec in records]
+            if default is _MISSING:
+                bad.report(values.index(_MISSING), f"missing field {key!r}")
+        columns.append(kind(values, key, bad))
+        if check is not None:
+            _check(columns[-1], key, bad, *check)
+    return columns
+
+
+def _check(column: np.ndarray, key: str, bad: _FirstBad, accept, wording: str) -> None:
+    """Report the first row accept(column) leaves False: wording.format(key, value, previous)."""
+    bad.report_rows(~accept(column), lambda i: wording.format(
+        key=key, value=column[i].tolist(), previous=column[i - 1].tolist()))
+
+
+def _table(records: list[dict], spec, name) -> list:
+    """The spec's columns; a ContainerError `<name(index)>: ...` for the first bad record."""
+    bad = _FirstBad()
+    columns = _columns(records, spec, bad)
+    if bad.index is not None:
+        raise ContainerError(f"{name(bad.index)}: {bad.message}")
+    return columns
+
+
+def _records(source: str, items, what: str, spec) -> list:
+    """The spec's columns over a JSON list of objects; each ContainerError
+    starts with `source` and names the item: `bad <what> <index>: ...`."""
+    if not isinstance(items, list):
+        raise ContainerError(f"{source}{what} records must be a JSON list, got {items!r}")
+    for i, rec in enumerate(items):
+        if not isinstance(rec, dict):
+            raise ContainerError(f"{source}{what} {i} is not a JSON object: {rec!r}")
+    return _table(items, spec, lambda i: f"{source}bad {what} {i}")
+
+
+def _record(source: str, doc, what: str, spec) -> list:
+    """The spec's values of one JSON object as Python values; each
+    ContainerError starts with `source`: `bad <what>: ...`."""
+    if not isinstance(doc, dict):
+        raise ContainerError(f"{source}{what} file is not a JSON object: {doc!r}")
+    return [column.tolist()[0] for column in _table([doc], spec, lambda i: f"{source}bad {what}")]
+
+
+def _column(values: list, convert, dtype, kinds: str, shape: tuple, bad: _FirstBad) -> np.ndarray:
     """`convert` of each value, as one array; the first value it refuses is reported.
 
     Values that numpy reads into an array of one of the dtype `kinds` and of
@@ -490,93 +477,162 @@ def _column(values: list, convert, dtype, kinds: str, shape: tuple, bad: _FirstB
     for i, value in enumerate(values):
         try:
             out[i] = convert(value)
-        except (TypeError, ValueError, OverflowError, ContainerError) as exc:
-            bad.report(i, f"bad {what}: {exc}")
+        except (TypeError, ValueError, OverflowError) as exc:
+            bad.report(i, str(exc))
             break
     return out
 
 
-def _frame_value(value) -> int:
-    frame = int(value)
-    if not -(2**63) <= frame < 2**63:
-        raise ContainerError(f"frame {frame} outside the int64 range")
-    return frame
+# The kinds: each reads every record's value of a key into one column.
+
+def _ints(values: list, key: str, bad: _FirstBad) -> np.ndarray:
+    """(N,) int64: int() of each value."""
+    def int64(value) -> int:
+        number = int(value)
+        if not -(2**63) <= number < 2**63:
+            raise ValueError(f"{key} {number} outside the int64 range")
+        return number
+
+    return _column(values, int64, np.int64, "ib", (), bad)
 
 
-def _boxes(values: list, bad: _FirstBad, what: str) -> np.ndarray:
-    """(N, 4) float64 boxes [x, y, w, h], each passing `BoundingBox`'s checks."""
-    box = _column(values, _box_values, np.float64, "fiub", (4,), bad, what)
+def _floats(values: list, key: str, bad: _FirstBad) -> np.ndarray:
+    """(N,) float64: float() of each value."""
+    return _column(values, float, np.float64, "fiub", (), bad)
+
+
+def _box_values(vals) -> list[float]:
+    if not isinstance(vals, (list, tuple)) or len(vals) != 4:
+        raise ValueError(f"box must be [x, y, w, h], got {vals!r}")
+    return [float(v) for v in vals]
+
+
+def _boxes(values: list, key: str, bad: _FirstBad, strict: bool = False) -> np.ndarray:
+    """(N, 4) float64 boxes [x, y, w, h] that pass `BoundingBox`'s checks:
+    float() of 4 values each, or if `strict`, 4 finite JSON numbers each,
+    and a box refused quoted."""
+    if strict:
+        box = _valid(_finite_numbers(4), "4 finite numbers", np.float64, (4,))(values, key, bad)
+    else:
+        box = _column(values, _box_values, np.float64, "fiub", (4,), bad)
     refused = first_bad_box_row(box)
     if refused is not None:
-        bad.report(refused[0], f"bad {what}: {refused[1]}")
+        i, message = refused
+        bad.report(i, f"{key} {values[i]!r}: {message}" if strict else message)
     return box
 
 
-def _frames(values: list, bad: _FirstBad, what: str) -> np.ndarray:
-    """(N,) int64 frames."""
-    return _column(values, _frame_value, np.int64, "ib", (), bad, what)
+def _some_boxes(values: list, key: str, bad: _FirstBad) -> np.ndarray:
+    """(N, 4) boxes as `_boxes`; a row of zeros where a value is falsy (no box)."""
+    box = _boxes([v or _NO_BOX for v in values], key, bad)
+    box[~_flags(values, key, bad)] = 0.0
+    return box
 
 
-def _check_increasing(frame: np.ndarray, bad: _FirstBad, what: str) -> None:
-    bad.report_rows(
-        np.concatenate(([False], frame[1:] <= frame[:-1])),
-        lambda i: f"bad {what}: frame {frame[i]} does not follow frame {frame[i - 1]}; "
-                  "frames must be strictly increasing",
-    )
+def _scores(values: list, key: str, bad: _FirstBad) -> np.ndarray:
+    """(N,) float64 as `_floats`, in [0, 1]; NaN where a value is null (no score)."""
+    score = _floats([0.0 if v is None else v for v in values], key, bad)
+    _check(score, key, bad, *_UNIT)
+    score[[v is None for v in values]] = np.nan
+    return score
 
 
-def _flags(values: list) -> np.ndarray:
+def _flags(values: list, key: str, bad: _FirstBad) -> np.ndarray:
     """(N,) bool: the truth value of each JSON value."""
     return np.fromiter(map(bool, values), dtype=bool, count=len(values))
 
 
-def _masks(records: list[dict], bad: _FirstBad, what: str) -> tuple[Optional[Mask], ...]:
-    """Each record's mask, None where it has none."""
-    objs = list(map(operator.methodcaller("get", "mask"), records))
-    masks: list[Optional[Mask]] = [None] * len(records)
-    for i in compress(range(len(objs)), objs):
-        try:
-            masks[i] = _mask_from_json(objs[i])
-        except (ContainerError, OverflowError) as exc:
-            bad.report(i, f"bad {what}: {exc}")
-            break
-    return tuple(masks)
+def _masks(values: list, key: str, bad: _FirstBad) -> tuple[Optional[Mask], ...]:
+    """Each value as a `Mask`; None where a value is falsy (no mask)."""
+    return tuple(_column(values, _mask_from_json, object, "", (), bad))
 
 
-def _raise_first_bad(lines, path, bad: _FirstBad, parse_error) -> None:
+def _valid(test, words: str, dtype=object, shape: tuple = ()):
+    """A kind: the values as they are, each passing test(value); one that
+    does not is reported as `<key> must be <words>, got <value>`."""
+    def kind(values: list, key: str, bad: _FirstBad) -> np.ndarray:
+        def convert(value):
+            if not test(value):
+                raise ValueError(f"{key} must be {words}, got {value!r}")
+            return value
+
+        return _column(values, convert, dtype, "", shape, bad)
+
+    return kind
+
+
+def _size(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(
+        type(n) is int and n >= 1 for n in value)
+
+
+def _finite_numbers(count: Optional[int]):
+    """A test: a list of finite JSON numbers, not booleans; `count` of them unless None."""
+    return lambda value: isinstance(value, list) and count in (None, len(value)) and all(
+        type(v) in (int, float) and abs(v) <= _FLOAT_MAX for v in value)
+
+
+# The checks: (accept, wording) for `_check`.
+_UNIT = (lambda c: (c >= 0.0) & (c <= 1.0), "{key} {value} outside [0, 1]")
+_AT_LEAST_1 = (lambda n: n >= 1, "{key} must be at least 1, got {value}")
+_INCREASING = (lambda f: np.concatenate(([True], f[1:] > f[:-1])),
+               "frame {value} does not follow frame {previous}; frames must be strictly increasing")
+_LIST = _valid(lambda v: isinstance(v, list), "a list")
+_SIZE = "[height, width] of positive integers"
+
+# The specs, one per JSON input, as README's "JSON inputs" lists them.
+_HEADER = (("levels", _MISSING, _LIST, None),
+           ("image_size", None, _valid(lambda v: v is None or _size(v), _SIZE), None))
+_LEVEL = (*((key, _MISSING, _ints, None) for key in (
+              "level", "height", "width", "depth", "byte_offset", "byte_length")),
+          ("stride", None, _valid(lambda v: v is None or type(v) is int, "an integer"), None),
+          ("dtype", "f32", _valid(lambda v: v == "f32", '"f32"'), None))
+_TRACK = (("frame", _MISSING, _ints, _INCREASING), ("box", _MISSING, _boxes, None),
+          ("confidence", _MISSING, _floats, _UNIT), ("present", _MISSING, _flags, None),
+          ("mask", None, _masks, None))
+_GROUNDTRUTH = (("frame", _MISSING, _ints, _INCREASING), ("present", _MISSING, _flags, None),
+                ("box", None, _some_boxes, None), ("mask", None, _masks, None))
+_CANDIDATE = (("box", _MISSING, _boxes, None), ("confidence", None, _scores, None))
+_MANIFEST = (("init_box", _MISSING, _boxes, None), ("frames", _MISSING, _LIST, None))
+_MANIFEST_FRAME = (
+    ("frame", _MISSING, _ints, _INCREASING),
+    ("pyramid", _MISSING, _valid(lambda v: isinstance(v, str), "a string"), None),
+    ("candidates", None, _valid(lambda v: not v or isinstance(v, str), "a string or null"), None))
+_TEMPLATE = (("values", _MISSING, _valid(_finite_numbers(None), "a list of finite numbers"),
+              None),)
+_SCENE = (
+    ("image_size", _MISSING, _valid(_size, _SIZE), None),
+    ("num_frames", _MISSING, _ints, _AT_LEAST_1), ("depth", 16, _ints, _AT_LEAST_1),
+    ("seed", 0, _ints, None),
+    ("noise_sigma", 0.0, _floats, (lambda s: (s >= 0.0) & (s < np.inf),
+                                   "{key} must be finite and at least 0, got {value}")),
+    ("distractor_overlap", 0.0, _floats, (lambda o: np.abs(o) <= 1.0,
+                                          "{key} must be a cosine in [-1, 1], got {value}")),
+    ("objects", _MISSING, _LIST, None))
+_SCENE_OBJECT = (
+    ("start", _MISSING, functools.partial(_boxes, strict=True), None),
+    ("velocity", [0, 0], _valid(_finite_numbers(2), "2 finite numbers", np.float64, (2,)), None),
+    ("is_target", False, _flags, None),
+    ("absent_frames", [], _valid(lambda v: isinstance(v, list) and all(
+        type(f) is int for f in v), "a list of ints"), None))
+
+
+def _raise_first_bad(lines, path, what: str, bad: _FirstBad, parse_error) -> None:
     """Raise for the first bad record; a bad record precedes the unparsed line."""
     if bad.index is not None:
-        raise _line_error(lines, path, bad.index, bad.message)
+        raise _line_error(lines, path, bad.index, f"bad {what}: {bad.message}")
     if parse_error is not None:
         raise parse_error
 
 
 def read_tracks(path) -> TrackColumns:
-    """A tracks JSONL file as validated columns.
-
-    Each non-blank line is one JSON object with `frame`, `box`, `confidence`
-    and `present`, and an optional `mask`. Boxes must be finite with w, h > 0,
-    a finite area and finite far edges, confidences in [0, 1] and frames
-    strictly increasing.
-    The first bad record is named as <path>:<line> in a ContainerError.
-    """
+    """A tracks JSONL file as validated columns (`_TRACK`); the first bad
+    record is named as <path>:<line> in a ContainerError."""
     lines, records, parse_error = _jsonl_objects(path, "track record")
     bad = _FirstBad()
-    boxes, confidences, frames, present = (
-        _field(records, key, "track record", bad)
-        for key in ("box", "confidence", "frame", "present")
-    )
-    masks = _masks(records, bad, "track record")
-    box = _boxes(boxes, bad, "track record")
-    confidence = _column(confidences, float, np.float64, "fiub", (), bad, "track record")
-    bad.report_rows(
-        ~((confidence >= 0.0) & (confidence <= 1.0)),
-        lambda i: f"bad track record: confidence {confidence[i]!r} outside [0, 1]",
-    )
-    frame = _frames(frames, bad, "track record")
-    _check_increasing(frame, bad, "track record")
-    _raise_first_bad(lines, path, bad, parse_error)
-    return TrackColumns(frame, box, confidence, _flags(present), masks)
+    columns = _columns(records, _TRACK, bad)
+    _raise_first_bad(lines, path, "track record", bad, parse_error)
+    return TrackColumns(*columns)
 
 
 def write_groundtruth(gt: GroundtruthSequence, path) -> None:
@@ -593,32 +649,17 @@ def write_groundtruth(gt: GroundtruthSequence, path) -> None:
 
 
 def read_groundtruth(path) -> GroundtruthColumns:
-    """A groundtruth JSONL file as validated columns.
-
-    Each non-blank line is one JSON object with `frame` and `present`, a
-    `box` where the target is present, and an optional `mask`. Boxes must be
-    finite with w, h > 0, a finite area and finite far edges, and frames
-    strictly increasing.
-    The first bad record is named as <path>:<line> in a ContainerError.
-    """
+    """A groundtruth JSONL file as validated columns (`_GROUNDTRUTH`), a box
+    on every present frame; the first bad record is named as <path>:<line>
+    in a ContainerError."""
     lines, records, parse_error = _jsonl_objects(path, "groundtruth")
     bad = _FirstBad()
-    frames, present = (_field(records, key, "groundtruth record", bad)
-                       for key in ("frame", "present"))
-    frame = _frames(frames, bad, "groundtruth")
-    present = _flags(present)
-    boxes = list(map(operator.methodcaller("get", "box"), records))
-    has_box = _flags(boxes)
-    box = _boxes([b or _NO_BOX for b in boxes], bad, "groundtruth")
-    box[~has_box] = 0.0
-    masks = _masks(records, bad, "groundtruth")
-    bad.report_rows(
-        present & ~has_box,
-        lambda i: f"bad groundtruth: frame {frame[i]}: present groundtruth needs a box",
-    )
-    _check_increasing(frame, bad, "groundtruth")
-    _raise_first_bad(lines, path, bad, parse_error)
-    return GroundtruthColumns(frame, present, has_box, box, masks)
+    frame, present, box, mask = _columns(records, _GROUNDTRUTH, bad)
+    has_box = box[:, 2] > 0.0  # every box has w > 0; a frame without one has zeros
+    bad.report_rows(present & ~has_box,
+                    lambda i: f"frame {frame[i]}: present groundtruth needs a box")
+    _raise_first_bad(lines, path, "groundtruth", bad, parse_error)
+    return GroundtruthColumns(frame, present, has_box, box, mask)
 
 
 def _round_floats(obj, sig: int = 6):

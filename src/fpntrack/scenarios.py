@@ -24,7 +24,7 @@ from .synth import (
     render_frame,
     score_candidates,
 )
-from .tracker import TrackerConfig, run_track
+from .tracker import Candidates, TrackerConfig, run_track
 
 
 def correlated_identities(depth: int, overlap: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -34,7 +34,7 @@ def correlated_identities(depth: int, overlap: float, seed: int) -> tuple[np.nda
     t /= np.linalg.norm(t)
     u = rng.normal(size=depth)
     u -= (u @ t) * t
-    u /= np.linalg.norm(u)
+    u /= np.linalg.norm(u) or np.nan  # depth 1 has no other direction: NaN, as SceneObject refuses
     d = overlap * t + np.sqrt(max(0.0, 1.0 - overlap ** 2)) * u
     return t, d / np.linalg.norm(d)
 
@@ -87,14 +87,14 @@ def distractor_scene(seed: int, params: SuiteParams | None = None) -> SceneSpec:
 class RenderedScene:
     """What tracking a suite scene needs that no template kind changes.
 
-    ``candidates`` holds, per frame, the jittered candidate boxes, their
-    centre features and those features' norms; ``groundtruth`` holds the
-    target's boxes as columns.
+    ``candidates`` holds, per frame, the jittered candidates (their box rows
+    checked once, at confidence 0), their centre features and those
+    features' norms; ``groundtruth`` holds the target's boxes as columns.
     """
 
     init_pyramid: FeaturePyramid
     init_box: BoundingBox
-    candidates: list[tuple[list[BoundingBox], np.ndarray, list]]
+    candidates: list[tuple[Candidates, np.ndarray, list]]
     groundtruth: GroundtruthColumns
 
 
@@ -111,7 +111,7 @@ def render_scene(spec: SceneSpec, params: SuiteParams | None = None) -> Rendered
         cand = jittered_boxes(
             boxes, params.jitter, params.candidates_per_object, spec.seed * 100003 + f
         )
-        candidates.append((cand, *candidate_features(pyramid, cand)))
+        candidates.append(candidate_features(pyramid, cand))
         gt.append(GroundtruthFrame(f, boxes[ti] is not None, boxes[ti]))
     return RenderedScene(
         init_pyramid, init_box, candidates, GroundtruthColumns.from_groundtruth(gt)

@@ -235,12 +235,12 @@ def cosine_confidence(feature: np.ndarray, template: np.ndarray) -> float:
 
 def candidate_features(
     pyramid: FeaturePyramid, boxes: Sequence[BoundingBox]
-) -> tuple[np.ndarray, list]:
-    """The boxes' centre features as float64 rows, and each row's norm.
+) -> tuple[Candidates, np.ndarray, list]:
+    """The boxes as `Candidates` at confidence 0, their centre features as
+    float64 rows, checked finite as one block, and each row's norm.
 
-    Nothing here depends on a template, so one read serves every template
-    the candidates are scored against. The rows are checked finite once, as
-    one block.
+    Nothing here depends on a template, so one read, and one check of the box
+    rows, serves every template the candidates are scored against.
     """
     features = np.empty((len(boxes), pyramid.depth))
     maps = []
@@ -248,21 +248,24 @@ def candidate_features(
         fm, features[i] = centre_feature(pyramid, box)
         maps.append(fm)
     finite_features(features, maps)
-    return features, [np.linalg.norm(f) for f in features]
+    unscored = Candidates.from_boxes(boxes, np.zeros(len(boxes)))
+    return unscored, features, [np.linalg.norm(f) for f in features]
 
 
 def score_candidates(
-    boxes: Sequence[BoundingBox], features: np.ndarray, norms: Sequence, template
+    candidates: Candidates, features: np.ndarray, norms: Sequence, template
 ) -> Candidates:
-    """Score candidates by the cosine of their centre features with the template.
+    """The candidates with their confidences replaced by the cosine of their
+    centre features with the template; `candidate_features` gives the arguments.
 
     Each confidence equals ``cosine_confidence`` of the box's centre feature:
-    the same per-row dot product and norms, so the same bits.
+    the same per-row dot product and norms, so the same bits. The box rows
+    are not checked again (`Candidates.with_confidence`).
     """
     values = np.asarray(getattr(template, "values", template), dtype=np.float64)
     template_norm = np.linalg.norm(values)
     confidence = [_confidence(np.dot(f, values), n, template_norm) for f, n in zip(features, norms)]
-    return Candidates.from_boxes(boxes, confidence)
+    return candidates.with_confidence(confidence)
 
 
 def synth_candidates(
@@ -275,4 +278,4 @@ def synth_candidates(
 ) -> Candidates:
     """One frame's candidates, scored against the active template."""
     boxes = jittered_boxes(gt_boxes, jitter, k, seed)
-    return score_candidates(boxes, *candidate_features(pyramid, boxes), template)
+    return score_candidates(*candidate_features(pyramid, boxes), template)

@@ -41,15 +41,25 @@ class Candidates:
     confidence: np.ndarray
 
     def __post_init__(self):
+        self._check_confidence()
+        refused = first_bad_box_row(self.box)
+        if refused is not None:
+            raise InvalidInputError(f"candidate {refused[0]}: {refused[1]}")
+
+    def _check_confidence(self) -> None:
         box, confidence = self.box, self.confidence
         if box.ndim != 2 or box.shape[1] != 4 or confidence.shape != box.shape[:1]:
             raise InvalidInputError(f"shapes {box.shape}, {confidence.shape} are not (K, 4), (K,)")
         bad = ~((confidence >= 0.0) & (confidence <= 1.0))
         if bad.any():
             raise InvalidInputError(f"confidence {float(confidence[bad.argmax()])} outside [0, 1]")
-        refused = first_bad_box_row(box)
-        if refused is not None:
-            raise InvalidInputError(f"candidate {refused[0]}: {refused[1]}")
+
+    def with_confidence(self, confidence) -> "Candidates":
+        """These box rows, checked when they were made, with other confidences, checked now."""
+        scored = object.__new__(Candidates)  # no __post_init__: the rows are not checked again
+        scored.__dict__.update(box=self.box, confidence=np.asarray(confidence, dtype=np.float64))
+        scored._check_confidence()
+        return scored
 
     @classmethod
     def from_boxes(cls, boxes: Sequence[BoundingBox], confidence) -> "Candidates":

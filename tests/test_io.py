@@ -416,9 +416,8 @@ class TestManifest:
         }
         loaded = load_manifest(path)
         assert loaded == manifest
-        assert load_candidates(loaded.frames[0].candidates) == [
-            (BoundingBox(1, 2, 3, 4), 0.5)
-        ]
+        box, confidence = load_candidates(loaded.frames[0].candidates)
+        assert box.tolist() == [[1.0, 2.0, 3.0, 4.0]] and confidence.tolist() == [0.5]
 
     def test_groundtruth_block_of_older_manifests_ignored(self, tmp_path):
         # manifests once carried a per-frame groundtruth copy; gt.jsonl is the one read

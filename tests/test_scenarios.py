@@ -3,13 +3,14 @@ import functools
 import numpy as np
 import pytest
 
+from fpntrack import tracker
 from fpntrack.metrics import (
     GroundtruthColumns,
     GroundtruthFrame,
     GroundtruthSequence,
     average_overlap,
 )
-from fpntrack.pyramid import extract_template
+from fpntrack.pyramid import extract_template, first_bad_box_row
 from fpntrack.scenarios import (
     SuiteParams,
     distractor_scene,
@@ -85,3 +86,13 @@ def test_smoothing_suite_equals_per_config_oracle():
             for i in range(n)
         ]
         assert_bitwise_equal(actual, expected)
+
+
+def test_suite_checks_each_frames_candidate_rows_once(monkeypatch):
+    # every kind scores the same checked rows; none builds them again
+    params = SuiteParams()
+    checked = []
+    monkeypatch.setattr(tracker, "first_bad_box_row",
+                        lambda box: checked.append(len(box)) or first_bad_box_row(box))
+    distractor_suite_ao(KINDS, 1, 40, params)
+    assert len(checked) == params.num_frames

@@ -271,7 +271,7 @@ class TestScoreCandidates:
             for _ in range(n)
         ]
         template = np.zeros(depth) if zero_template else rng.normal(size=depth)
-        cands = score_candidates(boxes, *candidate_features(pyr, boxes), template)
+        cands = score_candidates(*candidate_features(pyr, boxes), template)
         expected = [cosine_confidence(extract_template(pyr, b), template) for b in boxes]
         assert cands.box.tolist() == [b.as_list() for b in boxes]
         assert cands.confidence.tobytes() == np.array(expected, dtype=np.float64).tobytes()
@@ -284,18 +284,18 @@ class TestScoreCandidates:
         # centre cells at levels 2, 3 and 4
         boxes = [BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 120, 120), BoundingBox(0, 0, 300, 300)]
         assert [template_level(pyr, b) for b in boxes] == [2, 3, 4]
-        features, _ = candidate_features(pyr, boxes)
+        _, features, _ = candidate_features(pyr, boxes)
         for fm in pyr.levels:  # every cell but the boxes' centres
             fm.data[~np.isin(fm.data, features.astype(np.float32)).all(axis=2)] = np.nan
-        assert candidate_features(pyr, boxes)[0].tobytes() == features.tobytes()
+        assert candidate_features(pyr, boxes)[1].tobytes() == features.tobytes()
         for b, level in zip(boxes[1:], (3, 4)):
             pyr.level_map(level).data[center_cell(b, pyr, level)] = np.inf
         with pytest.raises(ContainerError, match="^f.fpyr: level 3: "):
             candidate_features(pyr, boxes)
 
     def test_features_of_no_boxes(self):
-        features, norms = candidate_features(make_pyramid(depth=5), [])
-        assert features.shape == (0, 5) and norms == []
+        unscored, features, norms = candidate_features(make_pyramid(depth=5), [])
+        assert len(unscored) == 0 and features.shape == (0, 5) and norms == []
 
 
 class TestIdentities:

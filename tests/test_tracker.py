@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpntrack import tracker
 from fpntrack.errors import InvalidInputError
 from fpntrack.pyramid import BoundingBox, box_iou
 from fpntrack.scenarios import distractor_scene, sequence_ao
@@ -230,6 +231,18 @@ class TestTrackValidation:
             Candidates(np.zeros((2, 4)), np.zeros(3))
         with pytest.raises(InvalidInputError, match=r"are not \(K, 4\), \(K,\)"):
             Candidates(np.zeros((2, 3)), np.zeros(2))
+
+    def test_with_confidence_checks_only_the_confidences(self, monkeypatch):
+        unscored = Candidates(np.array([[0.0, 0, 10, 10], [5, 5, 10, 10]]), np.zeros(2))
+        checked = []
+        monkeypatch.setattr(tracker, "first_bad_box_row", checked.append)
+        scored = unscored.with_confidence([0.25, 0.75])
+        assert checked == []  # the rows were checked when `unscored` was made
+        assert scored.box is unscored.box and scored.confidence.tolist() == [0.25, 0.75]
+        with pytest.raises(InvalidInputError, match=r"confidence 1\.5 outside \[0, 1\]"):
+            unscored.with_confidence([0.5, 1.5])
+        with pytest.raises(InvalidInputError, match=r"are not \(K, 4\), \(K,\)"):
+            unscored.with_confidence([0.5])
 
 
 # The per-object tracker the columns replaced, kept as an oracle. No candidate
