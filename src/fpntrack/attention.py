@@ -44,18 +44,6 @@ class SimilarityMap:
         if not np.isfinite(self.scores).all():
             raise InvalidInputError("similarity scores contain NaN or Inf")
 
-    @property
-    def height(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.scores.shape[1]
-
-    def argmax_cell(self) -> tuple[int, int]:
-        flat = int(np.argmax(self.scores))
-        return flat // self.width, flat % self.width
-
 
 def _template_values(template) -> np.ndarray:
     values = np.asarray(getattr(template, "values", template), dtype=np.float64)
@@ -100,25 +88,37 @@ def reweight(level_map: FeatureMap, sim: SimilarityMap) -> FeatureMap:
     return FeatureMap(level_map.level, level_map.data * sim.scores[:, :, None].astype(np.float32))
 
 
+def similarity_pyramid(
+    pyramid: FeaturePyramid, template, mode: str = "tracking"
+) -> list[SimilarityMap]:
+    """Similarity maps for every level, finest first.
+
+    This is where the mode is decided: in detection mode every level's map
+    is ones, and no feature or template value is read.
+    """
+    if mode not in MODES:
+        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "detection":
+        return [SimilarityMap(fm.level, np.ones((fm.height, fm.width))) for fm in pyramid.levels]
+    return [similarity(fm, template) for fm in pyramid.levels]
+
+
 def attend_pyramid(
     pyramid: FeaturePyramid,
     template,
     mode: str = "tracking",
 ) -> FeaturePyramid:
-    """Apply template attention per level; detection mode is the identity."""
-    if mode not in MODES:
-        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    """Reweight every level by its `similarity_pyramid` map.
+
+    Reweighting by detection mode's ones leaves every value as it is, so the
+    pyramid itself is returned.
+    """
+    sims = similarity_pyramid(pyramid, template, mode)
     if mode == "detection":
         return pyramid
-    out = [reweight(fm, similarity(fm, template)) for fm in pyramid.levels]
     return FeaturePyramid(
-        out,
+        [reweight(fm, sim) for fm, sim in zip(pyramid.levels, sims)],
         strides=pyramid.strides,
         image_height=pyramid.image_height,
         image_width=pyramid.image_width,
     )
-
-
-def similarity_pyramid(pyramid: FeaturePyramid, template) -> list[SimilarityMap]:
-    """Similarity maps for every level, finest first."""
-    return [similarity(fm, template) for fm in pyramid.levels]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container, metrics, synth, templates
-from .attention import similarity_pyramid
+from .attention import MODES, similarity_pyramid
 from .errors import (ContainerError, FpnTrackError, InvalidInputError, UndefinedMetricError,
                      UsageError)
 from .pyramid import BoundingBox, FeatureMap, FeaturePyramid
@@ -50,12 +50,13 @@ def _box_in_image(box: BoundingBox, source: str, pyramid: FeaturePyramid) -> Bou
     return box
 
 
-def _int_at_least(text: str, least: int, kind: str) -> int:
+def _int_in(text: str, least: int, below: float, kind: str) -> int:
+    """int(text), which must lie in [least, below)."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < least:
+    if value is None or not least <= value < below:
         raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
     return value
 
@@ -65,12 +66,19 @@ def positive_int(text: str) -> int:
 
     The experiment scripts use it for their counts too.
     """
-    return _int_at_least(text, 1, "a positive integer")
+    return _int_in(text, 1, math.inf, "a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
     """argparse type for a count of at least 0."""
-    return _int_at_least(text, 0, "a non-negative integer")
+    return _int_in(text, 0, math.inf, "a non-negative integer")
+
+
+def _seed(text: str) -> int:
+    """argparse type for a seed: an integer in the int64 range, as a scene's
+    `seed` is. `rng.philox` keys on the seed modulo 2**64, which is one-to-one
+    there, so no two accepted seeds give one stream."""
+    return _int_in(text, -(2**63), 2**63, "an integer in [-2**63, 2**63), the int64 range")
 
 
 def _float_where(text: str, accept, kind: str) -> float:
@@ -194,9 +202,8 @@ def _template_flags(parser):
     parser.add_argument("--lambda", dest="lam", type=_nonnegative_float, default=0.1)
     parser.add_argument("--negatives", type=positive_int, default=256)
     parser.add_argument("--positives", type=positive_int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--normalize-features", action="store_true")
-    parser.add_argument("--balance-levels", action="store_true")
 
 
 def _template_kwargs(args) -> dict:
@@ -207,7 +214,6 @@ def _template_kwargs(args) -> dict:
         num_positives=args.positives,
         seed=args.seed,
         normalize=args.normalize_features,
-        balance_levels=args.balance_levels,
     )
 
 
@@ -233,22 +239,16 @@ def cmd_solve_template(args) -> int:
 def cmd_attend(args) -> int:
     pyramid = container.map_container(args.pyramid)
     template = container.load_template(args.template)
-    if args.mode == "detection":
-        sims = [np.ones((fm.height, fm.width)) for fm in pyramid.levels]
-    else:
-        try:
-            sims = [s.scores for s in similarity_pyramid(pyramid, template)]
-        except InvalidInputError as exc:  # a depth mismatch or a float64 overflow
-            raise ContainerError(f"{args.template}: {exc}") from exc
-        peak = max(float(np.abs(s).max()) for s in sims)
-        if peak > float(np.finfo(np.float32).max):
-            raise ContainerError(
-                f"{args.template}: similarity scores overflow float32 "
-                f"(largest magnitude {peak:.3g})"
-            )
-    maps = [
-        FeatureMap(fm.level, s[:, :, None]) for fm, s in zip(pyramid.levels, sims)
-    ]
+    try:
+        sims = similarity_pyramid(pyramid, template, args.mode)
+    except InvalidInputError as exc:  # a depth mismatch or a float64 overflow
+        raise ContainerError(f"{args.template}: {exc}") from exc
+    peak = max(float(np.abs(s.scores).max()) for s in sims)
+    if peak > float(np.finfo(np.float32).max):
+        raise ContainerError(
+            f"{args.template}: similarity scores overflow float32 (largest magnitude {peak:.3g})"
+        )
+    maps = [FeatureMap(s.level, s.scores[:, :, None]) for s in sims]
     sim_pyramid = FeaturePyramid(
         maps,
         strides=pyramid.strides,
@@ -270,9 +270,8 @@ def _frame_candidates(mf, pyramid, template) -> Candidates:
     box, confidence = (container.load_candidates(mf.candidates) if mf.candidates is not None
                        else (np.empty((0, 4)), np.empty(0)))
     unscored = np.isnan(confidence)
-    boxes = [BoundingBox(*row) for row in box[unscored].tolist()]
     confidence[unscored] = synth.score_candidates(
-        *synth.candidate_features(pyramid, boxes), template).confidence
+        *synth.candidate_features(pyramid, box[unscored]), template)
     return Candidates(box, confidence)
 
 
@@ -315,8 +314,9 @@ def cmd_eval(args) -> int:
     gt = container.read_groundtruth(args.gt)
 
     def joined(metric, *options):
-        """metric(track, gt, *options), naming both files if the track lacks a gt
-        frame, and the gt if the metric is undefined on it."""
+        """metric(track, gt, *options), naming both files where the track is at
+        fault (a gt frame or a mask it lacks), and the gt where the metric is
+        undefined on it."""
         try:
             return metric(track, gt, *options)
         except InvalidInputError as exc:
@@ -355,10 +355,8 @@ def cmd_eval(args) -> int:
             "theta": theta,
         }
     else:  # davis
-        pred_masks, gt_masks = joined(metrics.align_masks)
-        if any(m is None for m in pred_masks) or any(m is None for m in gt_masks):
-            raise UsageError("davis protocol requires masks on every frame")
-        j_mean, j_recall, j_decay = metrics.davis_j(pred_masks, gt_masks)
+        j_mean, j_recall, j_decay = joined(
+            lambda track, gt: metrics.davis_j(*metrics.align_masks(track, gt)))
         report = {
             "protocol": "davis",
             "j_mean": j_mean,
@@ -412,7 +410,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("attend", help="dump similarity maps for a pyramid + template")
     p.add_argument("--pyramid", required=True)
     p.add_argument("--template", required=True, help="template JSON from solve-template")
-    p.add_argument("--mode", choices=["tracking", "detection"], default="tracking")
+    p.add_argument("--mode", choices=MODES, default="tracking")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attend)
 
@@ -446,7 +444,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="check the ridge backward pass vs finite differences")
     p.add_argument("--dim", type=positive_int, default=16)
     p.add_argument("--negatives", type=_nonnegative_int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lambda", dest="lam", type=_nonnegative_float, default=0.1)
     p.add_argument("--step", type=_positive_float, default=1e-4)
     p.add_argument("--tolerance", type=_positive_float, default=1e-4)

@@ -271,13 +271,9 @@ def load_manifest(path) -> SequenceManifest:
     return SequenceManifest(BoundingBox(*init_box), frames)
 
 
-def save_candidates(boxes, path, confidences=None) -> None:
-    records = []
-    for i, box in enumerate(boxes):
-        rec = {"box": box.as_list()}
-        if confidences is not None:
-            rec["confidence"] = float(confidences[i])
-        records.append(rec)
+def save_candidates(boxes, path) -> None:
+    """Write the boxes as a candidates file of unscored candidates."""
+    records = [{"box": box.as_list()} for box in boxes]
     Path(path).write_text(json.dumps(records, indent=2) + "\n")
 
 

@@ -2,11 +2,13 @@
 
 Tracks and groundtruth are scored as columns: `TrackColumns`, which
 `tracker.run_track` returns and `container` reads and writes, and
-`GroundtruthColumns`, which `container` reads and `from_groundtruth` makes
-from objects. The box protocols (GOT, OxUvA, LTB35) read one `AlignedTable`,
-which `align` builds: the track joined to its groundtruth by frame, with one
-row of confidence, overlap and presence per groundtruth frame. `align_masks`
-joins the masks the same way for `davis_j`, which takes per-frame masks.
+`GroundtruthColumns`, which `container` reads; `container.write_groundtruth`
+writes a `GroundtruthSequence`. The box protocols (GOT, OxUvA, LTB35) read
+one `AlignedTable`, which `align` builds: the track joined to its
+groundtruth by frame, with one row of confidence, overlap and presence per
+groundtruth frame. `align_masks` joins the masks the same way for `davis_j`,
+which takes per-frame masks, and names the first frame where a mask is
+missing or on another canvas.
 """
 
 from __future__ import annotations
@@ -94,20 +96,6 @@ class GroundtruthColumns:
     has_box: np.ndarray  # (M,) bool
     box: np.ndarray  # (M, 4) float64
     mask: tuple  # (M,) Mask, or None where a frame has none
-
-    @classmethod
-    def from_groundtruth(cls, gt) -> "GroundtruthColumns":
-        frames = list(gt)
-        return cls(
-            np.array([g.frame for g in frames], dtype=np.int64),
-            np.array([g.present for g in frames], dtype=bool),
-            np.array([g.box is not None for g in frames], dtype=bool),
-            np.array(
-                [g.box.as_list() if g.box is not None else [0.0] * 4 for g in frames],
-                dtype=np.float64,
-            ).reshape(-1, 4),
-            tuple(g.mask for g in frames),
-        )
 
 
 @dataclass(frozen=True)
@@ -230,8 +218,23 @@ def align(track: TrackColumns, gt: GroundtruthColumns) -> AlignedTable:
 
 
 def align_masks(track: TrackColumns, gt: GroundtruthColumns) -> tuple[list, list]:
-    """(track masks, groundtruth masks), one pair per groundtruth frame, joined as `align`."""
-    return [track.mask[i] for i in _track_rows(track, gt).tolist()], list(gt.mask)
+    """(track masks, groundtruth masks), one pair per groundtruth frame, joined as `align`.
+
+    Every pair must be two masks on one canvas. The first frame where the
+    track's mask is missing or on another canvas raises InvalidInputError,
+    and one where the groundtruth's is missing raises UndefinedMetricError.
+    """
+    pred = [track.mask[i] for i in _track_rows(track, gt).tolist()]
+    for f, p, g in zip(gt.frame.tolist(), pred, gt.mask):
+        if p is None:
+            raise InvalidInputError(f"track has no mask on frame {f}")
+        if g is None:
+            raise UndefinedMetricError(f"frame {f} has no mask; the davis protocol needs one")
+        if (p.height, p.width) != (g.height, g.width):
+            raise InvalidInputError(
+                f"mask on frame {f} is {p.height}x{p.width}, not the {g.height}x{g.width} canvas"
+            )
+    return pred, list(gt.mask)
 
 
 def _distinct_sorted(values) -> np.ndarray:

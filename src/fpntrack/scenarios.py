@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import GroundtruthColumns, GroundtruthFrame, average_overlap
+from .metrics import GroundtruthColumns, average_overlap
 from .pyramid import BoundingBox, FeaturePyramid
 from .synth import (
     SceneObject,
     SceneSpec,
+    box_rows,
     candidate_features,
     jittered_boxes,
     philox,
@@ -103,29 +104,32 @@ def render_scene(spec: SceneSpec, params: SuiteParams | None = None) -> Rendered
     params = params or SuiteParams()
     ti = spec.target_index
     candidates = []
-    gt = []
+    target = []
     for f in range(spec.num_frames):
         pyramid, boxes, _ = render_frame(spec, f)
         if f == 0:
             init_pyramid, init_box = pyramid, boxes[ti]
-        cand = jittered_boxes(
+        box = box_rows(jittered_boxes(
             boxes, params.jitter, params.candidates_per_object, spec.seed * 100003 + f
-        )
-        candidates.append(candidate_features(pyramid, cand))
-        gt.append(GroundtruthFrame(f, boxes[ti] is not None, boxes[ti]))
-    return RenderedScene(
-        init_pyramid, init_box, candidates, GroundtruthColumns.from_groundtruth(gt)
-    )
+        ))
+        candidates.append((Candidates(box, np.zeros(len(box))), *candidate_features(pyramid, box)))
+        target.append(boxes[ti])
+    present = np.array([b is not None for b in target])
+    gt_box = np.array([b.as_list() if b else [0.0] * 4 for b in target], dtype=np.float64)
+    groundtruth = GroundtruthColumns(np.arange(spec.num_frames, dtype=np.int64), present,
+                                     present, gt_box, (None,) * spec.num_frames)
+    return RenderedScene(init_pyramid, init_box, candidates, groundtruth)
 
 
-def scene_ao(
-    scene: RenderedScene, template_kind: str, config: TrackerConfig, **template_kwargs
-) -> float:
+def _scored(candidates: Candidates, features: np.ndarray, norms: list, template) -> Candidates:
+    """A frame's candidates from `render_scene`, scored against the template."""
+    return candidates.with_confidence(score_candidates(features, norms, template))
+
+
+def scene_ao(scene: RenderedScene, template_kind: str, config: TrackerConfig) -> float:
     """Track a rendered scene with the given template kind, return AO."""
-    frames = [functools.partial(score_candidates, *cand) for cand in scene.candidates]
-    track = run_track(
-        frames, scene.init_box, scene.init_pyramid, config, template_kind, **template_kwargs
-    )
+    frames = [functools.partial(_scored, *cand) for cand in scene.candidates]
+    track = run_track(frames, scene.init_box, scene.init_pyramid, config, template_kind)
     ao, _ = average_overlap(track, scene.groundtruth)
     return ao
 
@@ -135,10 +139,9 @@ def sequence_ao(
     template_kind: str,
     config: TrackerConfig,
     params: SuiteParams | None = None,
-    **template_kwargs,
 ) -> float:
     """Render a scene, track it with the given template kind, return AO."""
-    return scene_ao(render_scene(spec, params), template_kind, config, **template_kwargs)
+    return scene_ao(render_scene(spec, params), template_kind, config)
 
 
 def distractor_suite_ao(
@@ -146,17 +149,16 @@ def distractor_suite_ao(
     num_sequences: int,
     base_seed: int = 0,
     params: SuiteParams | None = None,
-    config: TrackerConfig | None = None,
-    **template_kwargs,
 ) -> dict[str, np.ndarray]:
-    """Mean-AO suite: one scene per seed, rendered once, tracked once per kind."""
+    """Mean-AO suite, tracked without smoothing: one scene per seed, rendered
+    once, tracked once per kind."""
     params = params or SuiteParams()
-    config = config or TrackerConfig(smoothing_enabled=False)
+    config = TrackerConfig(smoothing_enabled=False)
     results: dict[str, list[float]] = {k: [] for k in kinds}
     for i in range(num_sequences):
         scene = render_scene(distractor_scene(base_seed + i, params), params)
         for kind in kinds:
-            results[kind].append(scene_ao(scene, kind, config, **template_kwargs))
+            results[kind].append(scene_ao(scene, kind, config))
     return {k: np.asarray(v) for k, v in results.items()}
 
 

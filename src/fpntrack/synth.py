@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pyramid import (
+    MAX_LEVEL,
+    MIN_LEVEL,
     BoundingBox,
     FeatureMap,
     FeaturePyramid,
@@ -66,7 +68,6 @@ class SceneSpec:
     objects: list[SceneObject] = field(default_factory=list)
     noise_sigma: float = 0.0
     seed: int = 0
-    levels: tuple[int, ...] = (2, 3, 4, 5)
 
     def __post_init__(self):
         if self.num_frames < 1:
@@ -104,13 +105,15 @@ def render_frame(
 ) -> tuple[FeaturePyramid, list[Optional[BoundingBox]], list[Optional[Mask]]]:
     """Render one frame: pyramid plus per-object groundtruth boxes and masks.
 
-    Objects later in the list occlude earlier ones. A ``None`` box means the
-    object is absent in this frame.
+    The pyramid has the levels `pyramid.MIN_LEVEL` to `MAX_LEVEL`. Objects
+    later in the list occlude earlier ones. A ``None`` box means the object
+    is absent in this frame.
     """
     if not 0 <= frame < spec.num_frames:
         raise InvalidInputError(f"frame {frame} outside [0, {spec.num_frames})")
     boxes = [obj.trajectory(frame) for obj in spec.objects]
-    strides = tuple(2 ** lvl for lvl in spec.levels)
+    levels = range(MIN_LEVEL, MAX_LEVEL + 1)
+    strides = tuple(2 ** lvl for lvl in levels)
     shapes = tuple(
         (math.ceil(spec.image_height / s), math.ceil(spec.image_width / s)) for s in strides
     )
@@ -121,7 +124,7 @@ def render_frame(
     _fill_cells(rng, spec.noise_sigma, painted, cells)
     maps = []
     start = 0
-    for lvl, (h, w) in zip(spec.levels, shapes):
+    for lvl, (h, w) in zip(levels, shapes):
         maps.append(FeatureMap(lvl, cells[start : start + h * w].reshape(h, w, spec.depth)))
         start += h * w
     pyramid = FeaturePyramid(
@@ -233,39 +236,41 @@ def cosine_confidence(feature: np.ndarray, template: np.ndarray) -> float:
     return _confidence(np.dot(f, t), np.linalg.norm(f), np.linalg.norm(t))
 
 
-def candidate_features(
-    pyramid: FeaturePyramid, boxes: Sequence[BoundingBox]
-) -> tuple[Candidates, np.ndarray, list]:
-    """The boxes as `Candidates` at confidence 0, their centre features as
-    float64 rows, checked finite as one block, and each row's norm.
+def box_rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """The boxes as (K, 4) float64 rows [x, y, w, h], the rows `Candidates` holds."""
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
-    Nothing here depends on a template, so one read, and one check of the box
-    rows, serves every template the candidates are scored against.
+
+def candidate_features(pyramid: FeaturePyramid, box: np.ndarray) -> tuple[np.ndarray, list]:
+    """The centre features of (K, 4) box rows as float64 rows, checked finite
+    as one block, and each row's norm.
+
+    Nothing here depends on a template, so one read serves every template
+    the candidates are scored against.
     """
-    features = np.empty((len(boxes), pyramid.depth))
+    features = np.empty((len(box), pyramid.depth))
     maps = []
-    for i, box in enumerate(boxes):
-        fm, features[i] = centre_feature(pyramid, box)
+    for i, row in enumerate(box.tolist()):
+        fm, features[i] = centre_feature(pyramid, BoundingBox(*row))
         maps.append(fm)
     finite_features(features, maps)
-    unscored = Candidates.from_boxes(boxes, np.zeros(len(boxes)))
-    return unscored, features, [np.linalg.norm(f) for f in features]
+    return features, [np.linalg.norm(f) for f in features]
 
 
-def score_candidates(
-    candidates: Candidates, features: np.ndarray, norms: Sequence, template
-) -> Candidates:
-    """The candidates with their confidences replaced by the cosine of their
-    centre features with the template; `candidate_features` gives the arguments.
+def score_candidates(features: np.ndarray, norms: Sequence, template) -> np.ndarray:
+    """The confidences of candidates whose centre features and norms
+    `candidate_features` gives: each feature's cosine with the template,
+    mapped to [0, 1].
 
     Each confidence equals ``cosine_confidence`` of the box's centre feature:
-    the same per-row dot product and norms, so the same bits. The box rows
-    are not checked again (`Candidates.with_confidence`).
+    the same per-row dot product and norms, so the same bits.
     """
     values = np.asarray(getattr(template, "values", template), dtype=np.float64)
     template_norm = np.linalg.norm(values)
-    confidence = [_confidence(np.dot(f, values), n, template_norm) for f, n in zip(features, norms)]
-    return candidates.with_confidence(confidence)
+    return np.array(
+        [_confidence(np.dot(f, values), n, template_norm) for f, n in zip(features, norms)],
+        dtype=np.float64,
+    )
 
 
 def synth_candidates(
@@ -277,5 +282,5 @@ def synth_candidates(
     seed: int,
 ) -> Candidates:
     """One frame's candidates, scored against the active template."""
-    boxes = jittered_boxes(gt_boxes, jitter, k, seed)
-    return score_candidates(*candidate_features(pyramid, boxes), template)
+    box = box_rows(jittered_boxes(gt_boxes, jitter, k, seed))
+    return Candidates(box, score_candidates(*candidate_features(pyramid, box), template))

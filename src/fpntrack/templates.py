@@ -220,7 +220,6 @@ def sample_negatives(
     gt_box: BoundingBox,
     q: int,
     seed: int,
-    balance_levels: bool = False,
 ) -> tuple[list[np.ndarray], int]:
     """Sample q features across all levels whose cell centers fall outside gt_box.
 
@@ -234,14 +233,7 @@ def sample_negatives(
     rows = [fm.data.reshape(-1, fm.depth) for fm in pyramid.levels]
     starts = np.cumsum([0] + [len(r) for r in rows])
     pool = np.flatnonzero(~in_box(*pyramid.cell_centres(), gt_box))
-    if balance_levels:
-        per_level = np.split(pool, np.searchsorted(pool, starts[1:-1]))
-        share = max(1, q // len(per_level))
-        chosen = np.concatenate([ids[rng.permutation(len(ids))[:share]] for ids in per_level])
-        rng.shuffle(chosen)
-        chosen = chosen[:q]
-    else:
-        chosen = pool[rng.permutation(len(pool))[:q]]
+    chosen = pool[rng.permutation(len(pool))[:q]]
     level_of = np.searchsorted(starts, chosen, side="right") - 1
     out = np.empty((len(chosen), pyramid.levels[0].depth))
     for lvl, level_rows in enumerate(rows):
@@ -280,7 +272,6 @@ def build_template(
     num_positives: int = 16,
     seed: int = 0,
     normalize: bool = False,
-    balance_levels: bool = False,
 ) -> TemplateVector:
     """Build a template of the requested kind from the first frame."""
     if kind not in TEMPLATE_KINDS:
@@ -290,7 +281,7 @@ def build_template(
     if kind == "mean_pos":
         pos, _ = sample_positives(pyramid, box, num_positives, seed)
         return template_mean_pos(pos)
-    neg, _ = sample_negatives(pyramid, box, num_negatives, seed, balance_levels)
+    neg, _ = sample_negatives(pyramid, box, num_negatives, seed)
     if not neg:
         raise SolverError("no negative samples available outside the box")
     if kind == "mean_diff":

@@ -61,11 +61,6 @@ class Candidates:
         scored._check_confidence()
         return scored
 
-    @classmethod
-    def from_boxes(cls, boxes: Sequence[BoundingBox], confidence) -> "Candidates":
-        rows = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
-        return cls(rows, np.asarray(confidence, dtype=np.float64))
-
     def __len__(self) -> int:
         return self.confidence.size
 
@@ -95,11 +90,10 @@ class TrackerState:
     consecutive_smooth: int = 0
 
 
-def rerank(candidates: Candidates, previous_box: tuple, alpha: float) -> np.ndarray:
-    """Blend confidences with box IoU against the previous selection's box."""
+def rerank(candidates: Candidates, iou: np.ndarray, alpha: float) -> np.ndarray:
+    """Blend confidences with `iou`, each candidate's box IoU against the previous selection."""
     if not len(candidates):
         raise InvalidInputError("candidates must be non-empty")
-    iou = box_iou_rows(candidates.box, np.array([previous_box], dtype=np.float64))
     return alpha * candidates.confidence + (1.0 - alpha) * iou
 
 
@@ -121,8 +115,7 @@ def step(
     if track_overlap:
         iou = box_iou_rows(candidates.box, np.array([state.previous], dtype=np.float64))
     if track_overlap and state.smoothing_active:
-        # `rerank`'s blend, on the IoU row computed once
-        i = int(np.argmax(config.alpha * confidence + (1.0 - config.alpha) * iou))
+        i = int(np.argmax(rerank(candidates, iou, config.alpha)))
     else:
         i = int(np.argmax(confidence))
     selected = float(confidence[i])

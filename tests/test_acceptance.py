@@ -149,7 +149,7 @@ def test_criterion_5_temporal_smoothing(report):
     # break within one frame of a low-overlap transition, re-enable after
     # exactly 30 consecutive high-overlap frames
     config = TrackerConfig()
-    far = Candidates.from_boxes([BoundingBox(500, 0, 10, 10)], [0.9])
+    far = Candidates(np.array([[500.0, 0.0, 10.0, 10.0]]), np.array([0.9]))
     state = TrackerState(previous=(0.0, 0.0, 10.0, 10.0))
     state, _, _ = step(state, far, config)
     broke_in_one = not state.smoothing_active

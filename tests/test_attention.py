@@ -12,7 +12,7 @@ from fpntrack.pyramid import FeatureMap, MappedFeatureMap, assign_level, center_
 from fpntrack.scenarios import distractor_scene
 from fpntrack.synth import philox, render_frame
 from fpntrack.templates import build_template
-from tests.test_pyramid import make_pyramid
+from tests.test_pyramid import as_mapped, make_pyramid
 
 finite_features = arrays(
     np.float32,
@@ -161,6 +161,22 @@ class TestReweight:
             reweight(fm, SimilarityMap(2, np.ones((3, 3))))
 
 
+class TestSimilarityPyramid:
+    def test_detection_maps_are_ones_and_read_no_value(self):
+        # a mapped level's values are checked where they are read: detection reads none
+        pyr = as_mapped(make_pyramid())
+        for fm in pyr.levels:
+            fm.data[:] = np.nan
+        sims = similarity_pyramid(pyr, np.ones(7), "detection")  # a template of another depth
+        assert [s.level for s in sims] == pyr.level_labels
+        for fm, s in zip(pyr.levels, sims):
+            assert s.scores.shape == (fm.height, fm.width) and np.all(s.scores == 1.0)
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(InvalidInputError, match="mode must be one of"):
+            similarity_pyramid(make_pyramid(), np.ones(3), "both")
+
+
 class TestAttendPyramid:
     def test_detection_mode_is_bitwise_identity(self):
         pyr = make_pyramid(fill=lambda lvl: lvl * 0.25)
@@ -191,7 +207,7 @@ class TestAttendPyramid:
         scaled = similarity_pyramid(pyr, 3.0 * t)
         for s_base, s_scaled in zip(base, scaled):
             assert np.allclose(s_scaled.scores, 3.0 * s_base.scores, rtol=1e-5)
-            assert s_base.argmax_cell() == s_scaled.argmax_cell()
+            assert np.argmax(s_base.scores) == np.argmax(s_scaled.scores)
 
     def test_ridge_attention_peaks_inside_target_box(self):
         # the discriminative template focuses the assigned-level similarity
@@ -203,7 +219,7 @@ class TestAttendPyramid:
             template = build_template(pyr, box, "ridge")
             level = assign_level(box, pyr.num_levels)
             sim = similarity(pyr.level_map(level), template)
-            row, col = sim.argmax_cell()
+            row, col = np.unravel_index(np.argmax(sim.scores), sim.scores.shape)
             stride = pyr.stride(level)
             cy, cx = (row + 0.5) * stride, (col + 0.5) * stride
             assert in_box(cy, cx, box)

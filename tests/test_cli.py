@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import errno
 import io
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpntrack import cli, container, synth
+from fpntrack import attention, cli, container, synth, tracker
 from fpntrack.cli import main
 from fpntrack.container import read_container, read_tracks
 from fpntrack.errors import InvalidInputError
-from fpntrack.pyramid import BoundingBox, cell_centres, center_cell, in_box, template_level
-from fpntrack.synth import candidate_features, render_frame, score_candidates
+from fpntrack.pyramid import (BoundingBox, cell_centres, center_cell, first_bad_box_row, in_box,
+                              template_level)
+from fpntrack.synth import box_rows, candidate_features, render_frame, score_candidates
 from fpntrack.templates import build_template
 
 SCENE = {
@@ -92,13 +94,23 @@ class TestUsage:
         assert err.startswith("error: ") and str(folder) in err
         assert "Traceback" not in err
 
-    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
-                        reason="needs a user that file permissions apply to")
     @pytest.mark.parametrize("command", ["solve-template", "synth"])
-    def test_unreadable_input_is_user_error_naming_it(self, capsys, tmp_path, command):
+    def test_unreadable_input_is_user_error_naming_it(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # every open of the file is refused, as for a user whom its permissions
+        # exclude; a patched open refuses root too, whom chmod would not stop
         locked = tmp_path / "locked"
         locked.write_text("{}")
-        locked.chmod(0)
+        real_open = io.open
+
+        def refusing_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(locked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(locked))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing_open)
+        monkeypatch.setattr(io, "open", refusing_open)
         assert main(self.reading(command, locked, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(locked) in err
@@ -425,6 +437,23 @@ class TestSolveTemplateAndAttend:
         for fm in pyr.levels:
             assert np.all(fm.data == 1.0)
 
+    @pytest.mark.parametrize("mode", ["tracking", "detection"])
+    def test_both_modes_take_their_maps_from_similarity_pyramid(
+        self, scene_dir, tmp_path, monkeypatch, mode
+    ):
+        modes = []
+
+        def spy(pyramid, template, mode):
+            modes.append(mode)
+            return attention.similarity_pyramid(pyramid, template, mode)
+
+        monkeypatch.setattr(cli, "similarity_pyramid", spy)
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"values": [1.0] * SCENE["depth"]}))
+        assert main(["attend", "--pyramid", str(scene_dir / "frame_0000.fpyr"), "--template",
+                     str(template), "--mode", mode, "--out", str(tmp_path / "s.fpyr")]) == 0
+        assert modes == [mode]
+
     def test_tracking_mode_attention_varies(self, scene_dir, tmp_path):
         template = tmp_path / "template.json"
         main(
@@ -629,6 +658,17 @@ class TestTrackAndEval:
         assert rc == 0
         return tracks
 
+    def test_track_checks_each_frames_candidate_rows_once_in_the_tracker(
+        self, scene_dir, tmp_path, monkeypatch
+    ):
+        # `load_candidates` checks a frame's rows; the tracker checks them once
+        # more, as the frame's one `Candidates` is made
+        checked = []
+        monkeypatch.setattr(tracker, "first_bad_box_row",
+                            lambda box: checked.append(len(box)) or first_bad_box_row(box))
+        self.run_pipeline(scene_dir, tmp_path)
+        assert checked == [2] * SCENE["num_frames"]
+
     def test_clean_scene_tracks_perfectly(self, scene_dir, tmp_path):
         tracks = self.run_pipeline(scene_dir, tmp_path)
         report_path = tmp_path / "report.json"
@@ -673,8 +713,8 @@ class TestTrackAndEval:
         for f, (target, distractor) in enumerate(frames):
             pyramid = read_container(scene_dir / f"frame_{f:04d}.fpyr")
             computed = score_candidates(
-                *candidate_features(pyramid, [distractor]), template
-            ).confidence[0]
+                *candidate_features(pyramid, box_rows([distractor])), template
+            )[0]
             if f % 2 == 0:
                 assert computed < scored[f]
                 assert track.box[f].tolist() == target.as_list()
@@ -783,6 +823,37 @@ class TestTrackAndEval:
         rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--protocol", "davis"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["j_mean"] == 1.0
+
+    def eval_davis(self, tmp_path, pred_masks, gt_masks, capsys) -> str:
+        """stderr of a failed davis eval of masked files, one mask per frame from 0."""
+        pred, gt, out = tmp_path / "dt.jsonl", tmp_path / "dg.jsonl", tmp_path / "j.json"
+        self.write_masked(pred, range(len(pred_masks)), pred_masks)
+        self.write_masked(gt, range(len(gt_masks)), gt_masks)
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--protocol", "davis",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err and not out.exists()
+        return err
+
+    def test_davis_mask_missing_names_its_file_and_frame(self, tmp_path, capsys):
+        pred, gt = tmp_path / "dt.jsonl", tmp_path / "dg.jsonl"
+        err = self.eval_davis(tmp_path, [self.MASK, self.MASK, None, self.MASK],
+                              [self.MASK] * 4, capsys)
+        assert f"error: {pred}: track has no mask on frame 2 of {gt}" in err
+        err = self.eval_davis(tmp_path, [self.MASK] * 4,
+                              [self.MASK, None, self.MASK, self.MASK], capsys)
+        assert f"error: {gt}: frame 1 has no mask; the davis protocol needs one" in err
+
+    def test_davis_on_fewer_than_four_frames_names_the_groundtruth(self, tmp_path, capsys):
+        err = self.eval_davis(tmp_path, [self.MASK] * 3, [self.MASK] * 3, capsys)
+        assert f"error: {tmp_path / 'dg.jsonl'}: decay needs at least 4 frames" in err
+
+    def test_davis_mask_canvas_mismatch_names_both_files_and_the_frame(self, tmp_path, capsys):
+        small = {"size": [3, 3], "runs": [0, 9]}
+        err = self.eval_davis(tmp_path, [self.MASK, small, self.MASK, self.MASK],
+                              [self.MASK] * 4, capsys)
+        pred, gt = tmp_path / "dt.jsonl", tmp_path / "dg.jsonl"
+        assert f"error: {pred}: mask on frame 1 is 3x3, not the 4x4 canvas of {gt}" in err
 
     @pytest.mark.parametrize("protocol", ["got", "davis"])
     def test_groundtruth_frame_missing_from_masked_track(self, tmp_path, capsys, protocol):
@@ -1205,6 +1276,40 @@ class TestCountFlags:
         assert main([command, *required, f"{flag}={value}"]) == 1
         err = capsys.readouterr().err
         assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+
+class TestSeedFlag:
+    """--seed takes the int64 range, as a scene's seed does: the Philox key is
+    the seed modulo 2**64, one-to-one on int64, so a wider seed would alias one."""
+
+    @pytest.mark.parametrize(
+        "value", [str(2**64 + 1), str(2**128 + 1), str(2**64), str(2**63), str(-(2**63) - 1),
+                  "1.5", "one"])
+    @pytest.mark.parametrize("command", ["solve-template", "track", "gradcheck"])
+    def test_seed_outside_int64_names_flag(self, scene_dir, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        required = {
+            "solve-template": ["--pyramid", str(scene_dir / "frame_0000.fpyr"),
+                               "--box", "8,20,24,24", "--out", str(out)],
+            "track": ["--sequence", str(scene_dir / "manifest.json"), "--out", str(out)],
+            "gradcheck": ["--dim", "2", "--negatives", "0"],
+        }[command]
+        assert main([command, *required, f"--seed={value}"]) == 1
+        captured = capsys.readouterr()
+        assert (f"argument --seed: must be an integer in [-2**63, 2**63), the int64 range, "
+                f"got '{value}'") in captured.err
+        assert not out.exists() and "PASS" not in captured.out
+
+    def test_int64_seeds_are_accepted_and_distinct(self, scene_dir, tmp_path):
+        templates = []
+        for seed in (0, 1, -1, 2**63 - 1, -(2**63)):
+            out = tmp_path / f"t{seed}.json"
+            assert main(["solve-template", "--pyramid", str(scene_dir / "frame_0000.fpyr"),
+                         "--box", "8,20,24,24", "--template-mode", "mean-diff",
+                         "--negatives", "16", f"--seed={seed}", "--out", str(out)]) == 0
+            templates.append(out.read_bytes())
+        assert len(set(templates)) == len(templates)
+        assert main(["gradcheck", "--dim", "4", "--negatives", "2", f"--seed={-(2**63)}"]) == 0
 
 
 class TestSingularRidge:

@@ -21,7 +21,6 @@ from fpntrack.container import (
     read_container,
     read_groundtruth,
     read_tracks,
-    save_candidates,
     save_manifest,
     stable_json,
     write_container,
@@ -404,7 +403,7 @@ class TestManifest:
         pyr_path = tmp_path / "f0.fpyr"
         write_container(small_pyramid(), pyr_path)
         cand_path = tmp_path / "c0.json"
-        save_candidates([BoundingBox(1, 2, 3, 4)], cand_path, confidences=[0.5])
+        cand_path.write_text(json.dumps([{"box": [1, 2, 3, 4], "confidence": 0.5}]))
         manifest = SequenceManifest(
             BoundingBox(0, 0, 10, 10), [ManifestFrame(0, pyr_path, cand_path)]
         )

@@ -2,7 +2,7 @@
 
 The oracles are per-line readers: the track oracle checks one record at a
 time and builds `TrackColumns` from the checked values, the groundtruth
-oracle builds a `GroundtruthSequence` whose columns (`from_groundtruth`) are
+oracle builds a `GroundtruthSequence` whose columns (`gt_columns`) are
 compared. The readers' columns must equal the oracles', masks included. The
 oracles are the older per-line readers with two deliberate changes, both to
 name the line where the old code did not: the strictly-increasing frame check
@@ -23,13 +23,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fpntrack.container import _mask_from_json, read_groundtruth, read_tracks
 from fpntrack.errors import ContainerError, InvalidInputError
 from fpntrack.metrics import (
-    GroundtruthColumns,
     GroundtruthFrame,
     GroundtruthSequence,
     TrackColumns,
 )
 from fpntrack.pyramid import BoundingBox
 from fpntrack.tracker import Candidates
+from tests.test_metrics import gt_columns
 
 # ---------------------------------------------------------------- oracles
 
@@ -62,7 +62,7 @@ def oracle_read_tracks(path) -> TrackColumns:
             raise ContainerError(f"{path}:{lineno}: track record missing field {exc}") from exc
         try:
             mask = _mask_from_json(rec["mask"]) if rec.get("mask") else None
-            row = Candidates.from_boxes([oracle_box(box)], [float(confidence)])
+            row = Candidates(np.array([oracle_box(box).as_list()]), np.array([float(confidence)]))
             frame = int(frame)
         except (TypeError, ValueError, OverflowError, ContainerError, InvalidInputError) as exc:
             raise ContainerError(f"{path}:{lineno}: bad track record: {exc}") from exc
@@ -235,7 +235,7 @@ class TestAgainstOracles:
         got, got_error = outcome(read_groundtruth, path)
         assert got_error == want_error
         if want is not None:
-            check_columns(got, GroundtruthColumns.from_groundtruth(want))
+            check_columns(got, gt_columns(want))
 
 
 TRACK = {"box": [0, 0, 1, 1], "confidence": 0.5, "present": True}

@@ -63,9 +63,24 @@ def make_gt(boxes):
     )
 
 
+def gt_columns(gt) -> GroundtruthColumns:
+    """A groundtruth sequence as the columns the metrics take, built frame by frame."""
+    frames = list(gt)
+    return GroundtruthColumns(
+        np.array([g.frame for g in frames], dtype=np.int64),
+        np.array([g.present for g in frames], dtype=bool),
+        np.array([g.box is not None for g in frames], dtype=bool),
+        np.array(
+            [g.box.as_list() if g.box is not None else [0.0] * 4 for g in frames],
+            dtype=np.float64,
+        ).reshape(-1, 4),
+        tuple(g.mask for g in frames),
+    )
+
+
 def columns(track, gt):
     """A track and a groundtruth sequence as the columns the metrics take."""
-    return track, GroundtruthColumns.from_groundtruth(gt)
+    return track, gt_columns(gt)
 
 
 boxes_strategy = st.builds(

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from fpntrack import tracker
-from fpntrack.metrics import (
-    GroundtruthColumns,
-    GroundtruthFrame,
-    GroundtruthSequence,
-    average_overlap,
-)
+from fpntrack.metrics import GroundtruthFrame, GroundtruthSequence, average_overlap
 from fpntrack.pyramid import extract_template, first_bad_box_row
 from fpntrack.scenarios import (
     SuiteParams,
@@ -18,12 +13,14 @@ from fpntrack.scenarios import (
     smoothing_suite_ao,
 )
 from fpntrack.synth import cosine_confidence, jittered_boxes, render_frame
-from fpntrack.tracker import Candidates, TrackerConfig, run_track
+from fpntrack.tracker import TrackerConfig, run_track
+from tests.test_metrics import gt_columns
+from tests.test_tracker import candidates_of
 
 KINDS = ["center", "mean_pos", "mean_diff", "ridge"]
 
 
-def oracle_sequence_ao(spec, template_kind, config, params, **template_kwargs):
+def oracle_sequence_ao(spec, template_kind, config, params):
     """The reference suite step: render every frame for this one kind, score box by box."""
     rendered = [render_frame(spec, f) for f in range(spec.num_frames)]
     ti = spec.target_index
@@ -33,19 +30,18 @@ def oracle_sequence_ao(spec, template_kind, config, params, **template_kwargs):
         cand = jittered_boxes(
             boxes, params.jitter, params.candidates_per_object, spec.seed * 100003 + f
         )
-        return Candidates.from_boxes(
+        return candidates_of(
             cand, [cosine_confidence(extract_template(pyramid, b), template.values) for b in cand]
         )
 
     frames = [functools.partial(candidates, f) for f in range(spec.num_frames)]
     init_pyramid, init_boxes, _ = rendered[0]
-    track = run_track(frames, init_boxes[ti], init_pyramid, config, template_kind,
-                      **template_kwargs)
+    track = run_track(frames, init_boxes[ti], init_pyramid, config, template_kind)
     gt = GroundtruthSequence(
         [GroundtruthFrame(f, boxes[ti] is not None, boxes[ti])
          for f, (_, boxes, _) in enumerate(rendered)]
     )
-    ao, _ = average_overlap(track, GroundtruthColumns.from_groundtruth(gt))
+    ao, _ = average_overlap(track, gt_columns(gt))
     return ao
 
 
@@ -55,21 +51,16 @@ def assert_bitwise_equal(actual, expected):
 
 
 @pytest.mark.parametrize(
-    "params, template_kwargs",
-    [
-        (SuiteParams(), {}),
-        (SuiteParams(jitter=0.0, candidates_per_object=1, noise_sigma=0.0),
-         {"num_negatives": 64}),
-    ],
+    "params",
+    [SuiteParams(), SuiteParams(jitter=0.0, candidates_per_object=1, noise_sigma=0.0)],
 )
-def test_distractor_suite_equals_per_kind_oracle(params, template_kwargs):
+def test_distractor_suite_equals_per_kind_oracle(params):
     base_seed, n = 40, 4
     config = TrackerConfig(smoothing_enabled=False)
-    results = distractor_suite_ao(KINDS, n, base_seed, params, **template_kwargs)
+    results = distractor_suite_ao(KINDS, n, base_seed, params)
     for kind in KINDS:
         expected = [
-            oracle_sequence_ao(distractor_scene(base_seed + i, params), kind, config, params,
-                               **template_kwargs)
+            oracle_sequence_ao(distractor_scene(base_seed + i, params), kind, config, params)
             for i in range(n)
         ]
         assert_bitwise_equal(results[kind], expected)

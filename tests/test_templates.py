@@ -83,7 +83,7 @@ def oracle_backward(problem, g):
     return np.outer(residual, h) - np.outer(problem.data_matrix @ h, t)
 
 
-def oracle_negatives(pyramid, gt_box, q, seed, balance_levels=False):
+def oracle_negatives(pyramid, gt_box, q, seed):
     """The reference sampler: copy every out-of-box cell, then pick q of the copies."""
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
     per_level = []
@@ -97,13 +97,6 @@ def oracle_negatives(pyramid, gt_box, q, seed, balance_levels=False):
         )
         rr, cc = np.nonzero(outside)
         per_level.append([fm.data[r, c].astype(np.float64) for r, c in zip(rr, cc)])
-    if balance_levels:
-        pool = []
-        share = max(1, q // len(per_level))
-        for feats in per_level:
-            pool.extend(feats[i] for i in rng.permutation(len(feats))[:share])
-        rng.shuffle(pool)
-        return pool[:q]
     pool = [f for feats in per_level for f in feats]
     return [pool[i] for i in rng.permutation(len(pool))[:q]]
 
@@ -456,9 +449,8 @@ class TestSampling:
         base=st.integers(4, 24),
         box=st.tuples(st.floats(-20, 90), st.floats(-20, 90), st.floats(1, 80), st.floats(1, 80)),
         q=st.integers(1, 600),
-        balance=st.booleans(),
     )
-    def test_negatives_bitwise_equal_to_oracle(self, seed, base, box, q, balance):
+    def test_negatives_bitwise_equal_to_oracle(self, seed, base, box, q):
         rng = np.random.default_rng(seed % 1000)
         maps = [
             FeatureMap(lvl, rng.normal(size=(base >> i, base >> i, 5)).astype(np.float32))
@@ -466,8 +458,8 @@ class TestSampling:
         ]
         pyr = FeaturePyramid(maps)
         gt_box = BoundingBox(*box)
-        feats, shortfall = sample_negatives(pyr, gt_box, q, seed, balance_levels=balance)
-        expected = oracle_negatives(pyr, gt_box, q, seed, balance_levels=balance)
+        feats, shortfall = sample_negatives(pyr, gt_box, q, seed)
+        expected = oracle_negatives(pyr, gt_box, q, seed)
         assert len(feats) == len(expected)
         assert shortfall == q - len(expected)
         for got, want in zip(feats, expected):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from fpntrack import tracker
 from fpntrack.errors import InvalidInputError
-from fpntrack.pyramid import BoundingBox, box_iou
+from fpntrack.pyramid import BoundingBox, box_iou, box_iou_rows
 from fpntrack.scenarios import distractor_scene, sequence_ao
+from fpntrack.synth import box_rows
 from fpntrack.tracker import (
     Candidates,
     TrackerConfig,
@@ -19,41 +20,51 @@ from fpntrack.tracker import (
 )
 
 
+def candidates_of(boxes, confidences) -> Candidates:
+    """Candidates of BoundingBoxes and their confidences."""
+    return Candidates(box_rows(boxes), np.array(confidences, dtype=np.float64))
+
+
 def cands(*rows):
     """Candidates from (x, confidence) rows of 10x10 boxes at y = 0, or from (box, confidence)."""
     boxes = [r[0] if isinstance(r[0], BoundingBox) else BoundingBox(r[0], 0, 10, 10) for r in rows]
-    return Candidates.from_boxes(boxes, [r[1] for r in rows])
+    return candidates_of(boxes, [r[1] for r in rows])
 
 
 def box(x):
     return (float(x), 0.0, 10.0, 10.0)
 
 
+def rerank_against(candidates, previous, alpha):
+    """`rerank` on the IoU row of the candidates against the previous box, as `step` calls it."""
+    return rerank(candidates, box_iou_rows(candidates.box, np.array([previous])), alpha)
+
+
 class TestRerank:
     def test_default_alpha_arithmetic(self):
         # alpha 0.6, c 0.9, overlap 0.5 -> 0.74
-        half = rerank(cands((5, 0.9)), box(0), 0.6)[0]  # IoU 1/3 with prev
+        half = rerank_against(cands((5, 0.9)), box(0), 0.6)[0]  # IoU 1/3 with prev
         assert half == pytest.approx(0.6 * 0.9 + 0.4 * (1 / 3))
-        full = rerank(cands((0, 0.9)), box(0), 0.6)[0]  # IoU 1 with prev
+        full = rerank_against(cands((0, 0.9)), box(0), 0.6)[0]  # IoU 1 with prev
         assert full == pytest.approx(0.6 * 0.9 + 0.4 * 1.0)
 
     def test_alpha_one_keeps_confidences(self):
-        assert rerank(cands((0, 0.9), (100, 0.2)), box(0), 1.0).tolist() == [0.9, 0.2]
+        assert rerank_against(cands((0, 0.9), (100, 0.2)), box(0), 1.0).tolist() == [0.9, 0.2]
 
     def test_alpha_zero_gives_overlaps(self):
-        assert rerank(cands((0, 0.9), (100, 0.2)), box(0), 0.0).tolist() == [1.0, 0.0]
+        assert rerank_against(cands((0, 0.9), (100, 0.2)), box(0), 0.0).tolist() == [1.0, 0.0]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidInputError):
-            rerank(cands(), box(0), 0.6)
+            rerank(cands(), np.empty(0), 0.6)
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_output_stays_in_unit_range(self, alpha, c, x):
-        out = rerank(cands((x * 10, c)), box(0), alpha)[0]
+        out = rerank_against(cands((x * 10, c)), box(0), alpha)[0]
         assert 0.0 <= out <= 1.0
 
     def test_monotone_in_overlap(self):
-        scores = rerank(cands((1, 0.4), (8, 0.4)), box(0), 0.6)
+        scores = rerank_against(cands((1, 0.4), (8, 0.4)), box(0), 0.6)
         assert scores[0] >= scores[1]
 
 
@@ -98,6 +109,20 @@ class TestStep:
         assert not present
         assert confidence == 0.0
         assert state == TrackerState(previous=(0.0, 0.0, 1.0, 1.0))
+
+    def test_smoothed_selection_is_the_argmax_of_rerank(self, monkeypatch):
+        # step blends through `rerank`, on the IoU row it computes once
+        calls = []
+
+        def spy(candidates, iou, alpha):
+            calls.append((iou.tolist(), alpha))
+            return np.array([0.0, 1.0])
+
+        monkeypatch.setattr(tracker, "rerank", spy)
+        state, confidence, _ = step(TrackerState(previous=box(0)), cands((0, 0.9), (20, 0.1)),
+                                    TrackerConfig(alpha=0.6))
+        assert calls == [([1.0, 0.0], 0.6)]
+        assert state.previous == box(20) and confidence == 0.1
 
     def test_pure_state_transition(self):
         config = TrackerConfig()
@@ -329,9 +354,9 @@ def test_columns_match_the_per_object_oracle(frames, config):
     state, oracle = TrackerState(), OracleState()
     for rows in frames:
         detections = [Detection(b, c) for b, c in rows]
-        candidates = Candidates.from_boxes([b for b, _ in rows], [c for _, c in rows])
+        candidates = candidates_of([b for b, _ in rows], [c for _, c in rows])
         if rows and oracle.previous is not None:
-            assert _bits(rerank(candidates, state.previous, config.alpha)) == _bits(
+            assert _bits(rerank_against(candidates, state.previous, config.alpha)) == _bits(
                 oracle_rerank(detections, oracle.previous, config.alpha)
             )
         state, confidence, present = step(state, candidates, config)
